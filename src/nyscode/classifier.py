@@ -50,12 +50,7 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
 
 def predict(model: LinearModel, C: CodeMatrix) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    if C.c != model.weights.shape[0]:
-        raise ValueError(
-            f"feature dim mismatch: codes have c={C.c}, model expects {model.weights.shape[0]}"
-        )
-    scores = C.values @ model.weights + model.bias
-    return np.argmax(scores, axis=1)
+    return np.argmax(scores(model, C), axis=1)
 
 
 def scores(model: LinearModel, C: CodeMatrix) -> np.ndarray:

@@ -24,10 +24,10 @@ from .harness import (
     NystromEvalConfig,
     PdlConfig,
     emit,
-    report_csv,
     run_curve,
     run_nystrom_eval,
     run_pdl_compare,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -99,13 +99,6 @@ def _load_config(args, required: bool = True) -> dict:
     return cfg
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _cmd_synth(args) -> None:
     seed = args.seed if args.seed is not None else 0
     ds = synth_labeled_manifold(
@@ -128,16 +121,7 @@ def _run_config_command(args, config_cls, runner) -> None:
     raw = _load_config(args)
     if args.seed is not None:
         raw["data_seed"] = args.seed
-    cfg = config_cls.from_dict(raw)
-    report = runner(cfg)
-    if args.out is None:
-        if args.format == "csv":
-            text = report_csv(report)
-        else:
-            text = json.dumps(report.to_dict(), indent=2) + "\n"
-        sys.stdout.write(text)
-    else:
-        emit(report, args.out, args.format)
+    emit(runner(config_cls.from_dict(raw)), args.out, args.format)
 
 
 def _cmd_curve(args) -> None:
@@ -159,7 +143,7 @@ def _cmd_encode(args) -> None:
     D = Dictionary(ds.data.values[:, idx], source="sampled", indices=idx)
     codes = encode(ds.data, D, args.alpha)
     lines = [",".join(format(v, ".17g") for v in row) for row in codes.values]
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    write_text("\n".join(lines) + "\n", args.out)
 
 
 _COMMANDS = {

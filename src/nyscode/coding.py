@@ -95,12 +95,19 @@ def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
     The Gram product is symmetrized before thresholding so the result is
     bit-exactly symmetric regardless of BLAS reduction order.
     """
-    gram = X.values.T @ X.values
-    gram = (gram + gram.T) / 2.0
+    # keep the Gram matrix named: subtracting alpha from the unnamed temporary
+    # lets numpy do it in place, and the changed heap pattern quadrupled the
+    # page faults of the later N x N temporaries in nystrom-eval (glibc malloc)
+    gram = _sym_gram(X.values.T)
     return CodeMatrix(np.maximum(0.0, gram - alpha), alpha)
 
 
 def gram_kernel(C: CodeMatrix) -> np.ndarray:
     """Kernel matrix K = C C^T between encoded samples (N x N, PSD)."""
-    K = C.values @ C.values.T
-    return (K + K.T) / 2.0
+    return _sym_gram(C.values)
+
+
+def _sym_gram(A: np.ndarray) -> np.ndarray:
+    """A A^T averaged with its transpose, so the result is bit-exactly symmetric."""
+    G = A @ A.T
+    return (G + G.T) / 2.0

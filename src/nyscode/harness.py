@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,7 +53,32 @@ def _from_dict(cls, d: dict):
     missing = sorted(required - set(d))
     if missing:
         raise ValueError(f"missing config keys: {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        if not _fits(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else str(hints[key])
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
     return cls(**d)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value matches a config field annotation; ints pass as floats."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is tuple:
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(args)
+            and all(map(_fits, value, args))
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 @dataclass
@@ -194,18 +222,9 @@ class ExperimentReport:
     created_at: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "curve": [dataclasses.asdict(p) for p in self.curve],
-            "models": {name: m.to_dict() for name, m in self.models.items()},
-            "pdl_rows": [dataclasses.asdict(r) for r in self.pdl_rows],
-            "cells": [dataclasses.asdict(x) for x in self.cells],
-            "coverage": self.coverage,
-            "spectral": self.spectral,
-            "warnings": self.warnings,
-            "created_at": self.created_at,
-        }
+        d = dataclasses.asdict(self)
+        d["models"] = {name: m.to_dict() for name, m in self.models.items()}
+        return d
 
 
 def _now() -> str:
@@ -243,6 +262,19 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
     return LabeledDataset(normalized, ds.labels, ds.n_classes, meta=ds.meta)
 
 
+def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
+    """The full code matrix of X and its spectral report; an all-zero C is a config error."""
+    C = full_code(X, alpha)
+    if not C.values.any():
+        # by Cauchy-Schwarz the largest entry of X^T X is the largest squared column norm
+        top = float(np.max(np.sum(X.values**2, axis=0)))
+        raise ValueError(
+            f"code matrix is all zero: alpha={alpha} is not below the largest "
+            f"pairwise similarity {top:.6g}"
+        )
+    return C, spectral_report(C, energy=energy)
+
+
 def run_curve(cfg: CurveConfig) -> ExperimentReport:
     """Sweep codebook sizes: encode, classify, measure reconstruction errors,
     fit saturation models on the two smallest sizes, and predict the rest."""
@@ -278,8 +310,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     C_full = None
     spec_rep = None
     if diagnostics:
-        C_full = full_code(Xtr, cfg.alpha)
-        spec_rep = spectral_report(C_full, energy=cfg.energy)
+        C_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
 
     points: list[CurvePoint] = []
     for c in kept:
@@ -494,8 +525,7 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     for k in sorted(set(cfg.k_list)):
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
-        C = full_code(Xn, cfg.alpha)
-        rep = spectral_report(C, energy=cfg.energy)
+        C, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
         spectral[str(k)] = {
             "k_effective": rep.k,
             "rank_k_residual": rep.rank_k_residual,
@@ -538,72 +568,52 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-CURVE_CSV_HEADER = "c,train_acc,test_acc,pred_train,pred_test,code_err,kernel_err,bound_eq1"
-PDL_CSV_HEADER = "final_c,overshoot,train_acc,test_acc,delta_vs_baseline"
-NYSTROM_CSV_HEADER = "k,c,seed,code_err,kernel_err,bound_eq1,within_bound"
+# report kind -> (row list attribute, CSV columns); each column is a row field
+_CSV_TABLES = {
+    "curve": (
+        "curve",
+        ("c", "train_acc", "test_acc", "pred_train", "pred_test", "code_err", "kernel_err",
+         "bound_eq1"),
+    ),
+    "pdl": ("pdl_rows", ("final_c", "overshoot", "train_acc", "test_acc", "delta_vs_baseline")),
+    "nystrom_eval": (
+        "cells",
+        ("k", "c", "seed", "code_err", "kernel_err", "bound_eq1", "within_bound"),
+    ),
+}
+CURVE_CSV_HEADER, PDL_CSV_HEADER, NYSTROM_CSV_HEADER = (
+    ",".join(columns) for _, columns in _CSV_TABLES.values()
+)
 
 
 def report_csv(report: ExperimentReport) -> str:
     """Render the plot-ready table of a report (one row per grid cell)."""
-    lines = []
-    if report.kind == "curve":
-        lines.append(CURVE_CSV_HEADER)
-        for p in report.curve:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        p.c,
-                        p.train_acc,
-                        p.test_acc,
-                        p.pred_train,
-                        p.pred_test,
-                        p.code_err,
-                        p.kernel_err,
-                        p.bound_eq1,
-                    )
-                )
-            )
-    elif report.kind == "pdl":
-        lines.append(PDL_CSV_HEADER)
-        for r in report.pdl_rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (r.final_c, r.overshoot, r.train_acc, r.test_acc, r.delta_vs_baseline)
-                )
-            )
-    elif report.kind == "nystrom_eval":
-        lines.append(NYSTROM_CSV_HEADER)
-        for cell in report.cells:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        cell.k,
-                        cell.c,
-                        cell.seed,
-                        cell.code_err,
-                        cell.kernel_err,
-                        cell.bound_eq1,
-                        cell.within_bound,
-                    )
-                )
-            )
-    else:
+    if report.kind not in _CSV_TABLES:
         raise ValueError(f"unknown report kind {report.kind!r}")
+    attr, columns = _CSV_TABLES[report.kind]
+    lines = [",".join(columns)]
+    for row in getattr(report, attr):
+        lines.append(",".join(_fmt(getattr(row, name)) for name in columns))
     return "\n".join(lines) + "\n"
 
 
 def emit(report: ExperimentReport, path, fmt: str = "json") -> None:
-    """Write a report to disk as a full JSON document or a plot-ready CSV table."""
+    """Write a report as a full JSON document or a plot-ready CSV table.
+
+    ``path=None`` writes to standard output.
+    """
     if fmt == "json":
         text = json.dumps(report.to_dict(), indent=2) + "\n"
     elif fmt == "csv":
         text = report_csv(report)
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    try:
+    write_text(text, path)
+
+
+def write_text(text: str, path) -> None:
+    """Write ``text`` to the file at ``path``, or to standard output when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
         Path(path).write_text(text)
-    except OSError as e:
-        raise OSError(f"failed writing report to {path}: {e}") from e

@@ -7,11 +7,12 @@ reconstructions are
     C_hat = E W^+ E^T
     K_hat = E (W^+ E^T E W^+) E^T
 
-where W^+ is an SVD pseudo-inverse. K_hat never materializes C_hat: the inner
-c x c matrix is all that is needed, which is the computational point of the
-factorization. The pseudo-inverse replaces a literal inverse because sampled
-blocks of thresholded code matrices are frequently singular; it reduces to the
-inverse when W is invertible.
+where W^+ is the Moore-Penrose pseudo-inverse, computed by eigendecomposition
+when W is symmetric (it is whenever C is) and by SVD otherwise. K_hat never
+materializes C_hat: the inner c x c matrix is all that is needed, which is the
+computational point of the factorization. The pseudo-inverse replaces a
+literal inverse because sampled blocks of thresholded code matrices are
+frequently singular; it reduces to the inverse when W is invertible.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodeMatrix
+from .coding import CodeMatrix, _sym_gram
 
 DEFAULT_PINV_TOL = 1e-10
 
@@ -102,7 +103,5 @@ def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:
     """Frobenius errors of the code and kernel reconstructions against C and C C^T."""
     values = _matrix(C)
     code_err = float(np.linalg.norm(values - reconstruct_code(f)))
-    kernel = values @ values.T
-    kernel = (kernel + kernel.T) / 2.0
-    kernel_err = float(np.linalg.norm(kernel - reconstruct_kernel(f)))
+    kernel_err = float(np.linalg.norm(_sym_gram(values) - reconstruct_kernel(f)))
     return ApproximationErrors(code_err=code_err, kernel_err=kernel_err)

@@ -29,16 +29,31 @@ def singular_values(C) -> np.ndarray:
     return np.linalg.svd(_matrix(C), compute_uv=False)
 
 
+def _energy_rank(s: np.ndarray, energy: float) -> int:
+    """Smallest k whose top-k squared singular values retain ``energy`` of the total."""
+    if not (0.0 < energy <= 1.0):
+        raise ValueError(f"energy must be in (0, 1], got {energy}")
+    s2 = s**2
+    total = s2.sum()
+    if total == 0.0:
+        return 0
+    k = int(np.searchsorted(np.cumsum(s2), energy * total, side="left")) + 1
+    return min(k, len(s2))
+
+
+def _tail_norm(s: np.ndarray, k: int) -> float:
+    """sqrt of the sum of squared singular values past the first k."""
+    if not (0 <= k <= len(s)):
+        raise ValueError(f"need 0 <= k <= min(dims) = {len(s)}, got k={k}")
+    return float(np.sqrt(np.sum(s[k:] ** 2)))
+
+
 def rank_k_residual(C, k: int) -> float:
     """Frobenius norm of C minus its best rank-k approximation.
 
     By Eckart-Young this equals sqrt(sum of squared singular values past k).
     """
-    values = _matrix(C)
-    if not (0 <= k <= min(values.shape)):
-        raise ValueError(f"need 0 <= k <= min(dims), got k={k} for shape {values.shape}")
-    s = singular_values(values)
-    return float(np.sqrt(np.sum(s[k:] ** 2)))
+    return _tail_norm(singular_values(C), k)
 
 
 def scaled_diag_max(C) -> float:
@@ -51,36 +66,19 @@ def scaled_diag_max(C) -> float:
 
 def effective_rank(C, energy: float = 0.95) -> int:
     """Smallest k whose top-k squared singular values retain ``energy`` of the total."""
-    if not (0.0 < energy <= 1.0):
-        raise ValueError(f"energy must be in (0, 1], got {energy}")
-    s2 = singular_values(C) ** 2
-    total = s2.sum()
-    if total == 0.0:
-        return 0
-    cum = np.cumsum(s2)
-    k = int(np.searchsorted(cum, energy * total, side="left")) + 1
-    return min(k, len(s2))
+    return _energy_rank(singular_values(C), energy)
 
 
 def spectral_report(C, k: int | None = None, energy: float = 0.95) -> SpectralReport:
     """Assemble the bound inputs for C; k defaults to the effective rank at ``energy``."""
     values = _matrix(C)
-    if values.shape[0] != values.shape[1]:
-        raise ValueError(f"C must be square, got shape {values.shape}")
+    diag_term = scaled_diag_max(values)
     s = singular_values(values)
     if k is None:
-        s2 = s**2
-        total = s2.sum()
-        if total == 0.0:
-            k = 0
-        else:
-            k = min(int(np.searchsorted(np.cumsum(s2), energy * total, side="left")) + 1, len(s))
-    if not (0 <= k <= len(s)):
-        raise ValueError(f"need 0 <= k <= min(dims), got k={k}")
-    residual = float(np.sqrt(np.sum(s[k:] ** 2)))
+        k = _energy_rank(s, energy)
     return SpectralReport(
         k=k,
-        rank_k_residual=residual,
-        scaled_diag_max=scaled_diag_max(values),
+        rank_k_residual=_tail_norm(s, k),
+        scaled_diag_max=diag_term,
         singular_values=s,
     )

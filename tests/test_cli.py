@@ -77,6 +77,13 @@ class TestCurveCommand:
         p.write_text("{not json")
         assert cli.main(["curve", "--config", str(p)]) == cli.EXIT_ARGUMENT
 
+    def test_all_zero_code_matrix_names_alpha(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, dict(CURVE_CFG, alpha=5.0))
+        assert cli.main(["curve", "--config", cfg]) == cli.EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert "code matrix is all zero: alpha=5.0" in err
+        assert "largest pairwise similarity 1" in err
+
 
 class TestPdlCommand:
     def test_runs_small_comparison(self, tmp_path):
@@ -163,3 +170,16 @@ class TestExitCodes:
         assert cli.main(["nystrom-eval", "--config", cfg, "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("k,c,seed,")
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("curve", dict(CURVE_CFG, energy=1.5)),
+            ("nystrom-eval", {"c_grid": [4], "seeds": [0], "k_list": [2], "d": 10,
+                              "n_samples": 32, "energy": 0.0}),
+        ],
+    )
+    def test_energy_out_of_range_exits_2(self, tmp_path, capsys, command, payload):
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert "energy must be in (0, 1]" in capsys.readouterr().err

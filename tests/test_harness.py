@@ -67,6 +67,29 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             PdlConfig.from_dict([1, 2])
 
+    @pytest.mark.parametrize(
+        "cls, key, value",
+        [
+            (CurveConfig, "c_grid", "abc"),
+            (CurveConfig, "seeds", [0, 1.5]),
+            (CurveConfig, "d", 32.0),
+            (CurveConfig, "alpha", "0.25"),
+            (CurveConfig, "path", 7),
+            (CurveConfig, "split_seed", True),
+            (PdlConfig, "regions", [2, 2, 2]),
+            (PdlConfig, "pool_op", None),
+            (NystromEvalConfig, "k_list", 2),
+        ],
+    )
+    def test_wrong_type_names_key(self, cls, key, value):
+        required = {
+            CurveConfig: {"c_grid": [4, 8, 16], "seeds": [0]},
+            PdlConfig: {"final_c_grid": [4], "overshoots": [1], "seeds": [0]},
+            NystromEvalConfig: {"c_grid": [4], "seeds": [0]},
+        }[cls]
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            cls.from_dict({**required, key: value})
+
 
 class TestRunCurve:
     def test_structure_and_fit_points(self):

@@ -87,8 +87,9 @@ class TestEffectiveRank:
 
     @pytest.mark.parametrize("energy", [0.0, 1.1, -0.5])
     def test_energy_out_of_range(self, energy):
-        with pytest.raises(ValueError):
-            effective_rank(np.eye(2), energy)
+        for fn in (effective_rank, spectral_report):
+            with pytest.raises(ValueError, match=r"energy must be in \(0, 1\]"):
+                fn(np.eye(2), energy=energy)
 
     def test_zero_matrix_has_rank_zero(self):
         assert effective_rank(np.zeros((3, 3)), 0.95) == 0
