@@ -96,8 +96,9 @@ def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
     bit-exactly symmetric regardless of BLAS reduction order.
     """
     # keep the Gram matrix named: subtracting alpha from the unnamed temporary
-    # lets numpy do it in place, and the changed heap pattern quadrupled the
-    # page faults of the later N x N temporaries in nystrom-eval (glibc malloc)
+    # lets numpy do it in place, and the changed allocation sequence leaves
+    # glibc malloc's dynamic mmap/trim thresholds lower, so the later per-cell
+    # buffers of nystrom-eval are page-faulted in afresh on every cell
     gram = _sym_gram(X.values.T)
     return CodeMatrix(np.maximum(0.0, gram - alpha), alpha)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, classifier
-from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code
+from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code, gram_kernel
 from .data import (
     DataMatrix,
     LabeledDataset,
@@ -34,7 +34,7 @@ from .data import (
 from .dictionary import kmeans, sample_indices
 from .nystrom import approximation_errors, decompose
 from .pooling import pool, pdl
-from .spectra import spectral_report
+from .spectra import check_energy, spectral_report
 
 
 def _from_dict(cls, d: dict):
@@ -262,16 +262,24 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
     return LabeledDataset(normalized, ds.labels, ds.n_classes, meta=ds.meta)
 
 
-def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
-    """The full code matrix of X and its spectral report; an all-zero C is a config error."""
-    C = full_code(X, alpha)
-    if not C.values.any():
-        # by Cauchy-Schwarz the largest entry of X^T X is the largest squared column norm
-        top = float(np.max(np.sum(X.values**2, axis=0)))
+def _check_alpha(X: DataMatrix, alpha: float) -> None:
+    """Reject an alpha that zeroes the whole code matrix max(0, X^T X - alpha).
+
+    By Cauchy-Schwarz the largest entry of X^T X is the largest squared
+    column norm, so the test needs no N x N matrix.
+    """
+    top = float(np.max(np.sum(X.values**2, axis=0)))
+    if alpha >= top:
         raise ValueError(
             f"code matrix is all zero: alpha={alpha} is not below the largest "
             f"pairwise similarity {top:.6g}"
         )
+
+
+def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
+    """The full code matrix of X and its spectral report; an all-zero C is a config error."""
+    _check_alpha(X, alpha)
+    C = full_code(X, alpha)
     return C, spectral_report(C, energy=energy)
 
 
@@ -286,6 +294,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         raise ValueError("seeds must be non-empty")
     if cfg.dict_source not in ("sampled", "kmeans"):
         raise ValueError(f"dict_source must be 'sampled' or 'kmeans', got {cfg.dict_source!r}")
+    check_energy(cfg.energy)
 
     train_idx, test_idx = _split(dataset.data.N, cfg.split_fraction, cfg.split_seed)
     X = dataset.data.values
@@ -295,6 +304,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     yte = dataset.labels[test_idx]
     n_train = Xtr.N
     lam = cfg.lam if cfg.lam is not None else 1e-3 * n_train
+    _check_alpha(Xtr, cfg.alpha)
 
     warnings = []
     kept = []
@@ -307,10 +317,10 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         raise ValueError("fewer than 2 usable codebook sizes after skipping oversized ones")
 
     diagnostics = n_train <= cfg.nystrom_limit
-    C_full = None
-    spec_rep = None
+    C_full = K_full = spec_rep = None
     if diagnostics:
         C_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
+        K_full = gram_kernel(C_full)
 
     points: list[CurvePoint] = []
     for c in kept:
@@ -328,7 +338,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
             tr_accs.append(classifier.accuracy(classifier.predict(model, ctr), ytr))
             te_accs.append(classifier.accuracy(classifier.predict(model, cte), yte))
             if diagnostics and idx is not None:
-                errs = approximation_errors(C_full, decompose(C_full, idx))
+                errs = approximation_errors(C_full, decompose(C_full, idx), K_full)
                 code_errs.append(errs.code_err)
                 kernel_errs.append(errs.kernel_err)
         point = CurvePoint(
@@ -526,6 +536,7 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
         C, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
+        K = gram_kernel(C)
         spectral[str(k)] = {
             "k_effective": rep.k,
             "rank_k_residual": rep.rank_k_residual,
@@ -535,7 +546,7 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
                 idx = sample_indices(cfg.n_samples, c, seed)
-                errs = approximation_errors(C, decompose(C, idx))
+                errs = approximation_errors(C, decompose(C, idx), K)
                 cells.append(
                     NystromCell(
                         k=k,

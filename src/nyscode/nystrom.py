@@ -13,6 +13,12 @@ materializes C_hat: the inner c x c matrix is all that is needed, which is the
 computational point of the factorization. The pseudo-inverse replaces a
 literal inverse because sampled blocks of thresholded code matrices are
 frequently singular; it reduces to the inverse when W is invertible.
+
+The exact kernel K = C C^T costs O(N^3) and does not depend on the sample, so
+callers that score many samples of one C compute it once (``gram_kernel``) and
+pass it to ``approximation_errors``. The residual norms are accumulated one
+row block at a time from the N x c factors E W^+ and E M, so scoring a sample
+allocates no N x N temporary.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ import numpy as np
 from .coding import CodeMatrix, _sym_gram
 
 DEFAULT_PINV_TOL = 1e-10
+
+# rows per block of the residual norms: one BLOCK_ROWS x N buffer per call
+BLOCK_ROWS = 128
 
 
 def _matrix(C) -> np.ndarray:
@@ -89,8 +98,12 @@ def reconstruct_code(f: NystromFactors) -> np.ndarray:
 
 def reconstruct_kernel(f: NystromFactors) -> np.ndarray:
     """Approximate the kernel C C^T from the factors alone (N x N)."""
-    inner = f.W_pinv @ (f.E.T @ f.E) @ f.W_pinv
-    return f.E @ inner @ f.E.T
+    return f.E @ _kernel_inner(f) @ f.E.T
+
+
+def _kernel_inner(f: NystromFactors) -> np.ndarray:
+    """The c x c middle factor M = W^+ E^T E W^+ of the kernel reconstruction."""
+    return f.W_pinv @ (f.E.T @ f.E) @ f.W_pinv
 
 
 @dataclass(frozen=True)
@@ -99,9 +112,28 @@ class ApproximationErrors:
     kernel_err: float
 
 
-def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:
-    """Frobenius errors of the code and kernel reconstructions against C and C C^T."""
+def approximation_errors(C, f: NystromFactors, K=None) -> ApproximationErrors:
+    """Frobenius errors of the code and kernel reconstructions against C and C C^T.
+
+    ``K`` is the exact kernel C C^T (``coding.gram_kernel``); it is computed
+    here when not given. The norms are exact, summed over row blocks.
+    """
     values = _matrix(C)
-    code_err = float(np.linalg.norm(values - reconstruct_code(f)))
-    kernel_err = float(np.linalg.norm(_sym_gram(values) - reconstruct_kernel(f)))
+    if K is None:
+        K = _sym_gram(values)
+    code_err = _residual_norm(values, f.E @ f.W_pinv, f.E)
+    kernel_err = _residual_norm(K, f.E @ _kernel_inner(f), f.E)
     return ApproximationErrors(code_err=code_err, kernel_err=kernel_err)
+
+
+def _residual_norm(A: np.ndarray, L: np.ndarray, E: np.ndarray) -> float:
+    """||A - L E^T||_F, one block of BLOCK_ROWS rows at a time."""
+    buf = np.empty((min(BLOCK_ROWS, A.shape[0]), A.shape[1]))
+    sq = 0.0
+    for r0 in range(0, A.shape[0], BLOCK_ROWS):
+        block = buf[: min(BLOCK_ROWS, A.shape[0] - r0)]
+        np.matmul(L[r0 : r0 + BLOCK_ROWS], E.T, out=block)
+        np.subtract(A[r0 : r0 + BLOCK_ROWS], block, out=block)
+        flat = block.ravel()
+        sq += float(flat @ flat)
+    return float(np.sqrt(sq))

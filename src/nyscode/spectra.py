@@ -1,8 +1,11 @@
-"""SVD-based quantities feeding the reconstruction-error bound.
+"""Spectral quantities feeding the reconstruction-error bound.
 
 The bound needs two numbers about the ideal code matrix: the optimal rank-k
 residual ||C - C_k||_F (tail of the singular value spectrum) and the scaled
-diagonal maximum N * max_i C_ii.
+diagonal maximum N * max_i C_ii. The singular values of a symmetric matrix
+are the absolute values of its eigenvalues, so symmetric input (every full
+code matrix is bit-exactly symmetric) takes them from ``eigvalsh``, which
+is cheaper than an SVD; any other input goes through the SVD.
 """
 
 from __future__ import annotations
@@ -26,13 +29,22 @@ class SpectralReport:
 
 def singular_values(C) -> np.ndarray:
     """Singular values of C, descending."""
-    return np.linalg.svd(_matrix(C), compute_uv=False)
+    values = _matrix(C)
+    square = values.ndim == 2 and values.shape[0] == values.shape[1]
+    if square and np.array_equal(values, values.T):
+        return np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
+    return np.linalg.svd(values, compute_uv=False)
+
+
+def check_energy(energy: float) -> None:
+    """Reject a retained-energy fraction outside (0, 1]."""
+    if not (0.0 < energy <= 1.0):
+        raise ValueError(f"energy must be in (0, 1], got {energy}")
 
 
 def _energy_rank(s: np.ndarray, energy: float) -> int:
     """Smallest k whose top-k squared singular values retain ``energy`` of the total."""
-    if not (0.0 < energy <= 1.0):
-        raise ValueError(f"energy must be in (0, 1], got {energy}")
+    check_energy(energy)
     s2 = s**2
     total = s2.sum()
     if total == 0.0:

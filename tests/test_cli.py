@@ -84,6 +84,17 @@ class TestCurveCommand:
         assert "code matrix is all zero: alpha=5.0" in err
         assert "largest pairwise similarity 1" in err
 
+    def test_config_errors_caught_with_diagnostics_off(self, tmp_path, capsys):
+        # n_train is above nystrom_limit, so no full code matrix or spectrum is built
+        payload = {"dataset": "synth", "n_samples": 60, "c_grid": [4, 8, 16], "seeds": [0],
+                   "alpha": 5.0, "energy": 1.5, "nystrom_limit": 10}
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main(["curve", "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert "energy must be in (0, 1], got 1.5" in capsys.readouterr().err
+        cfg = _write_config(tmp_path, dict(payload, energy=0.95))
+        assert cli.main(["curve", "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert "code matrix is all zero: alpha=5.0" in capsys.readouterr().err
+
 
 class TestPdlCommand:
     def test_runs_small_comparison(self, tmp_path):

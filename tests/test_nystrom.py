@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nyscode.coding import CodeMatrix
+from nyscode.coding import CodeMatrix, full_code, gram_kernel
+from nyscode.data import DataMatrix, normalize_columns
 from nyscode.dictionary import sample_indices
 from nyscode.nystrom import (
+    BLOCK_ROWS,
     NystromFactors,
     approximation_errors,
     decompose,
@@ -191,3 +195,44 @@ class TestErrorDecay:
         assert len(inversions) <= 1
         for i in inversions:
             assert means[i + 1] <= 1.02 * means[i]
+
+
+def _code(n, seed):
+    # thresholded code matrix of unit columns: symmetric and indefinite
+    X = DataMatrix(np.random.default_rng(seed).standard_normal((16, n)))
+    return full_code(normalize_columns(X, "unit_l2"), alpha=0.25)
+
+
+class TestBlockedResiduals:
+    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + 37, BLOCK_ROWS // 3])
+    def test_matches_direct_norms(self, n):
+        C = _code(n, seed=n)
+        K = gram_kernel(C)
+        f = decompose(C, sample_indices(n, 12, 0))
+        given = approximation_errors(C, f, K)
+        assert approximation_errors(C, f) == given
+        direct_code = np.linalg.norm(C.values - reconstruct_code(f))
+        direct_kernel = np.linalg.norm(K - reconstruct_kernel(f))
+        assert given.code_err == pytest.approx(direct_code, rel=1e-12)
+        assert given.kernel_err == pytest.approx(direct_kernel, rel=1e-12)
+
+    def test_full_sample_error_is_zero(self):
+        n = BLOCK_ROWS + 5
+        C = _random_psd(n, n, seed=9)
+        K = C @ C
+        errs = approximation_errors(C, decompose(C, np.arange(n)), K)
+        assert errs.code_err <= 1e-9 * np.linalg.norm(C)
+        assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
+
+    def test_no_n_by_n_temporary(self):
+        n = 512
+        C = _code(n, seed=1)
+        K = gram_kernel(C)
+        f = decompose(C, sample_indices(n, 64, 0))
+        tracemalloc.start()
+        try:
+            approximation_errors(C, f, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8

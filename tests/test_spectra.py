@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from nyscode.coding import full_code
-from nyscode.data import DataMatrix, normalize_columns
+from nyscode.data import DataMatrix, normalize_columns, synth_manifold
+from nyscode.harness import CurveConfig, _curve_dataset, _split
 from nyscode.spectra import (
+    _energy_rank,
     effective_rank,
     rank_k_residual,
     scaled_diag_max,
+    singular_values,
     spectral_report,
 )
 
@@ -115,3 +118,55 @@ class TestSpectralReport:
         rep = spectral_report(C, k=2)
         tail = np.sqrt(np.sum(rep.singular_values[2:] ** 2))
         assert rep.rank_k_residual == pytest.approx(tail, rel=1e-10)
+
+
+class TestSingularValues:
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_symmetric_indefinite_uses_eigvalsh(self, monkeypatch):
+        X = normalize_columns(
+            DataMatrix(np.random.default_rng(8).standard_normal((8, 40))), "unit_l2"
+        )
+        C = full_code(X, alpha=0.25).values
+        assert np.linalg.eigvalsh(C).min() < 0
+        want = np.linalg.svd(C, compute_uv=False)
+        calls = self._spy(monkeypatch)
+        s = singular_values(C)
+        assert calls == ["eigvalsh"]
+        assert np.all(np.diff(s) <= 0)
+        assert np.max(np.abs(s - want)) <= 1e-12 * want[0]
+
+    def test_non_symmetric_square_uses_svd(self, monkeypatch):
+        C = np.random.default_rng(9).standard_normal((6, 6))
+        calls = self._spy(monkeypatch)
+        singular_values(C)
+        assert calls == ["svd"]
+
+
+def _acceptance_code(which):
+    # the full code matrices behind the pinned curve (criteria 3, 5) and NYS3 configs
+    if which == "curve":
+        cfg = CurveConfig(c_grid=[8, 16, 32], seeds=[0], n_samples=800, alpha=0.25)
+        data = _curve_dataset(cfg).data
+        train_idx, _ = _split(data.N, cfg.split_fraction, cfg.split_seed)
+        return full_code(DataMatrix(data.values[:, train_idx]), 0.25)
+    k = {"nys3-k2": 2, "nys3-k4": 4}[which]
+    return full_code(normalize_columns(synth_manifold(32, k, 256, 0.05, 0), "unit_l2"), 0.25)
+
+
+@pytest.mark.parametrize("which", ["curve", "nys3-k2", "nys3-k4"])
+def test_report_k_matches_svd_on_acceptance_data(which):
+    C = _acceptance_code(which)
+    svd_k = _energy_rank(np.linalg.svd(C.values, compute_uv=False), 0.95)
+    assert spectral_report(C, energy=0.95).k == svd_k
