@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class FormatError(Exception):
@@ -155,25 +156,9 @@ def extract_patches(image: np.ndarray, patch: int, stride: int) -> PatchGrid:
     flattened row-major with the channel index varying fastest.
     """
     image = np.asarray(image, dtype=float)
-    if image.ndim == 2:
-        image = image[:, :, None]
-    if image.ndim != 3:
+    if image.ndim not in (2, 3):
         raise ValueError(f"image must be 2-D or 3-D, got ndim={image.ndim}")
-    h, w, ch = image.shape
-    if patch < 1 or patch > min(h, w):
-        raise ValueError(f"patch size {patch} does not fit a {h}x{w} image")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    grid_rows = (h - patch) // stride + 1
-    grid_cols = (w - patch) // stride + 1
-    cols = np.empty((patch * patch * ch, grid_rows * grid_cols))
-    idx = 0
-    for r in range(grid_rows):
-        for c in range(grid_cols):
-            block = image[r * stride : r * stride + patch, c * stride : c * stride + patch, :]
-            cols[:, idx] = block.reshape(-1)
-            idx += 1
-    return PatchGrid(DataMatrix(cols), grid_rows, grid_cols, images=1)
+    return _patch_grid(image[None], patch, stride)
 
 
 def extract_patches_stack(images: np.ndarray, patch: int, stride: int) -> PatchGrid:
@@ -181,10 +166,28 @@ def extract_patches_stack(images: np.ndarray, patch: int, stride: int) -> PatchG
     images = np.asarray(images, dtype=float)
     if images.ndim not in (3, 4):
         raise ValueError(f"image stack must be 3-D or 4-D, got ndim={images.ndim}")
-    grids = [extract_patches(img, patch, stride) for img in images]
-    first = grids[0]
-    cols = np.concatenate([g.patches.values for g in grids], axis=1)
-    return PatchGrid(DataMatrix(cols), first.grid_rows, first.grid_cols, images=len(grids))
+    return _patch_grid(images, patch, stride)
+
+
+def _patch_grid(images: np.ndarray, patch: int, stride: int) -> PatchGrid:
+    """Patches of an (n, h, w[, channels]) stack as one C-ordered d x N matrix."""
+    if images.ndim == 3:
+        images = images[..., None]
+    n, h, w, ch = images.shape
+    if patch < 1 or patch > min(h, w):
+        raise ValueError(f"patch size {patch} does not fit a {h}x{w} image")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    # (n, rows, cols, ch, patch, patch) view of every patch at the kept offsets
+    windows = sliding_window_view(images, (patch, patch), axis=(1, 2))[:, ::stride, ::stride]
+    _, grid_rows, grid_cols = windows.shape[:3]
+    # rows: patch row, patch col, channel; columns: image, grid row, grid col.
+    # Copy into a fresh C-ordered matrix: a reshape may return a view of the images.
+    cols = np.empty((patch * patch * ch, n * grid_rows * grid_cols))
+    cols.reshape(patch, patch, ch, n, grid_rows, grid_cols)[...] = windows.transpose(
+        4, 5, 3, 0, 1, 2
+    )
+    return PatchGrid(DataMatrix(cols), grid_rows, grid_cols, images=n)
 
 
 _NORMALIZE_MODES = ("mean_center", "unit_l2", "both")

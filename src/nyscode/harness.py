@@ -422,14 +422,10 @@ def synth_texture_images(
     slots = size // cell
     n = classes * images_per_class
     labels = np.arange(n) % classes
-    images = np.empty((n, size, size))
-    for i in range(n):
-        pick = rng.integers(prototypes_per_class, size=(slots, slots))
-        for r in range(slots):
-            for c in range(slots):
-                images[i, r * cell : (r + 1) * cell, c * cell : (c + 1) * cell] = protos[
-                    labels[i], pick[r, c]
-                ]
+    # one draw for every image: the same stream as one (slots, slots) draw per image
+    picks = rng.integers(prototypes_per_class, size=(n, slots, slots))
+    tiles = protos[labels[:, None, None], picks]  # (n, slots, slots, cell, cell)
+    images = tiles.transpose(0, 1, 3, 2, 4).reshape(n, size, size)
     images += noise * rng.standard_normal(images.shape)
     return images, labels
 

@@ -124,6 +124,50 @@ class TestExtractPatches:
         assert np.array_equal(g.patches.values[:, 8:12], single.patches.values)
 
 
+def _patch_oracle(image, patch, stride):
+    img = image[:, :, None] if image.ndim == 2 else image
+    h, w, _ = img.shape
+    cols = [
+        img[r : r + patch, c : c + patch, :].reshape(-1)
+        for r in range(0, h - patch + 1, stride)
+        for c in range(0, w - patch + 1, stride)
+    ]
+    return np.stack(cols, axis=1)
+
+
+class TestPatchesMatchLoopOracle:
+    # (shape, patch, stride); 11 - 3 = 8 and 9 - 4 = 5 are not multiples of 3
+    CASES = [((11, 9), 3, 3), ((11, 9, 3), 4, 3), ((8, 8), 4, 4), ((7, 5, 2), 1, 2)]
+
+    @pytest.mark.parametrize("shape,patch,stride", CASES)
+    def test_single_image(self, shape, patch, stride):
+        img = np.random.default_rng(0).standard_normal(shape)
+        g = extract_patches(img, patch, stride)
+        expected = _patch_oracle(img, patch, stride)
+        assert g.patches.values.tobytes() == expected.tobytes()
+        assert g.patches.values.shape == expected.shape
+        assert g.patches.values.flags.c_contiguous
+        assert not np.shares_memory(g.patches.values, img)
+        assert g.grid_rows * g.grid_cols == expected.shape[1]
+
+    @pytest.mark.parametrize("shape,patch,stride", CASES)
+    def test_stack(self, shape, patch, stride):
+        imgs = np.random.default_rng(1).standard_normal((3, *shape))
+        g = extract_patches_stack(imgs, patch, stride)
+        expected = np.concatenate([_patch_oracle(im, patch, stride) for im in imgs], axis=1)
+        assert g.patches.values.tobytes() == expected.tobytes()
+        assert g.patches.values.shape == expected.shape
+        assert g.patches.values.flags.c_contiguous
+        assert g.images == 3
+
+    @pytest.mark.parametrize("ndim", [1, 4])
+    def test_wrong_ndim(self, ndim):
+        with pytest.raises(ValueError, match="2-D or 3-D"):
+            extract_patches(np.ones((4,) * ndim), patch=2, stride=1)
+        with pytest.raises(ValueError, match="3-D or 4-D"):
+            extract_patches_stack(np.ones((4,) * (ndim + 1)), patch=2, stride=1)
+
+
 class TestNormalizeColumns:
     def test_unit_l2(self):
         out = normalize_columns(DataMatrix(np.array([[3.0], [4.0]])), "unit_l2")

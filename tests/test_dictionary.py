@@ -1,14 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from nyscode.data import DataMatrix
+import nyscode.dictionary as dictionary
+from nyscode.data import DataMatrix, extract_patches_stack, normalize_columns
 from nyscode.dictionary import (
+    _lower_min_sq_dists,
     _relocate_empty,
+    _row_sq_dists,
     covering_radius,
     kcenters,
     kmeans,
     sample_indices,
 )
+from nyscode.harness import synth_texture_images
 
 
 class TestSampleIndices:
@@ -157,3 +163,198 @@ class TestKCenters:
     def test_c_exceeds_rows(self):
         with pytest.raises(ValueError):
             kcenters(np.ones((3, 1)), 4, seed=0)
+
+
+# Plain K-means with unit-norm atoms: a boolean mask per centroid, two full
+# distance matrices per Lloyd step and a full exact update per k-means++ seed.
+# kmeans must match it bit for bit.
+def _plain_sq_dists(pts, centers):
+    d2 = (
+        (pts**2).sum(axis=1)[:, None]
+        - 2.0 * pts @ centers.T
+        + (centers**2).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _plain_kmeans(X, c, max_iters, seed):
+    rng = np.random.default_rng(seed)
+    pts = X.values.T
+    n = pts.shape[0]
+    centroids = np.empty((c, pts.shape[1]))
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centroids[0] = pts[first]
+    chosen[first] = True
+    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, c):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(np.flatnonzero(~chosen)[0])
+        centroids[j] = pts[idx]
+        chosen[idx] = True
+        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
+
+    prev_assign = None
+    history = []
+    for _ in range(max_iters):
+        assign = np.argmin(_plain_sq_dists(pts, centroids), axis=1)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+        for j in range(c):
+            members = assign == j
+            if members.any():
+                centroids[j] = pts[members].mean(axis=0)
+        empty = np.setdiff1d(np.arange(c), assign)
+        if empty.size:
+            far_d2 = _plain_sq_dists(pts, centroids).min(axis=1)
+            for j in empty:
+                far = int(np.argmax(far_d2))
+                centroids[j] = pts[far]
+                far_d2[far] = 0.0
+        history.append(float(_plain_sq_dists(pts, centroids).min(axis=1).sum()))
+    atoms = centroids.T.copy()
+    norms = np.linalg.norm(atoms, axis=0)
+    return atoms, atoms / np.where(norms == 0.0, 1.0, norms), history
+
+
+def _unit_patches():
+    images, _ = synth_texture_images(6, 2, 16, 4, 5, 0.8, seed=0)
+    return normalize_columns(extract_patches_stack(images, 4, 2).patches, "unit_l2").values
+
+
+def _offset():
+    return np.random.default_rng(1).standard_normal((8, 300)) + 1e4
+
+
+def _duplicates():
+    # 5 distinct points, 12 copies each: seeding runs out of distance mass
+    return np.repeat(np.random.default_rng(2).standard_normal((3, 5)), 12, axis=1)
+
+
+def _integer_grid():
+    return np.array(list(itertools.product(range(5), repeat=3)), dtype=float).T.copy()
+
+
+def _near_distinct():
+    # 36 distinct points plus copies of 4 of them: with c > 36 two centers
+    # coincide, one of them loses every point and is relocated
+    values = np.random.default_rng(3).standard_normal((4, 36))
+    return np.concatenate([values, values[:, :4]], axis=1)
+
+
+BIT_IDENTITY_CASES = {
+    # name: (d x N values, cluster counts)
+    "unit_patches": (_unit_patches, (8, 64)),
+    "offset_1e4": (_offset, (5, 40)),
+    "offset_1e4_column_major": (lambda: np.asfortranarray(_offset()), (5, 40)),
+    "duplicates": (_duplicates, (4, 8)),
+    "integer_grid": (_integer_grid, (6, 30)),
+    "c_close_to_n": (_near_distinct, (37, 39)),
+}
+
+
+class TestKMeansBitIdentity:
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CASES))
+    def test_matches_plain_kmeans(self, name):
+        make, cs = BIT_IDENTITY_CASES[name]
+        X = DataMatrix(make())
+        for c, seed in itertools.product(cs, (0, 1, 2)):
+            res = kmeans(X, c, max_iters=20, seed=seed, normalize_atoms=True)
+            centroids, atoms, history = _plain_kmeans(X, c, 20, seed)
+            assert res.centroids.tobytes() == centroids.tobytes()
+            assert res.dictionary.atoms.tobytes() == atoms.tobytes()
+            assert res.history == history
+            assert res.iterations == len(history)
+            assert res.objective == history[-1]
+
+    @pytest.mark.parametrize("name", ["duplicates", "c_close_to_n"])
+    def test_cases_relocate_empty_clusters(self, name, monkeypatch):
+        # the relocation path is exercised by the bit-identity cases above
+        calls = []
+        real = dictionary._relocate_empty
+        monkeypatch.setattr(
+            dictionary, "_relocate_empty", lambda *a: calls.append(1) or real(*a)
+        )
+        make, cs = BIT_IDENTITY_CASES[name]
+        for seed in (0, 1, 2):
+            kmeans(DataMatrix(make()), max(cs), max_iters=20, seed=seed)
+        assert calls
+
+    def test_duplicates_take_the_seeding_fallback(self):
+        # sampling never picks a point at distance 0 from a chosen center, so
+        # 8 centers on 5 distinct points need 3 picks from the total == 0 branch
+        pts = _duplicates().T
+        centers = dictionary._kmeanspp_init(pts, (pts**2).sum(axis=1), 8, np.random.default_rng(0))
+        assert len(np.unique(centers, axis=0)) == 5
+
+    # the (d, N) values' memory order; pts = values.T has the other one
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_filtered_update_matches_full_update(self, order):
+        pts = np.asarray(_offset(), order=order).T
+        pts_sq = (pts**2).sum(axis=1)
+        d2 = np.full(pts.shape[0], np.inf)
+        full = d2.copy()
+        for i in np.random.default_rng(4).choice(pts.shape[0], 40, replace=False):
+            _lower_min_sq_dists(pts, pts_sq, pts[i], d2)
+            full = np.minimum(full, ((pts - pts[i]) ** 2).sum(axis=1))
+            assert d2.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_filter_keeps_rows_one_ulp_below(self, order):
+        # every row's exact distance sits one ulp below its d2, where the
+        # mat-vec estimate is off by far more than an ulp: all must be lowered
+        pts = np.asarray(_offset(), order=order).T
+        x = pts[0] + 0.25
+        exact = ((pts - x) ** 2).sum(axis=1)
+        d2 = np.nextafter(exact, np.inf)
+        _lower_min_sq_dists(pts, (pts**2).sum(axis=1), x, d2)
+        assert d2.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 17])
+    def test_row_subset_matches_full_rows(self, order, n_rows):
+        pts = np.asarray(_offset(), order=order).T
+        x = pts[7] + 0.5
+        rows = np.arange(n_rows) * 13
+        full = ((pts - x) ** 2).sum(axis=1)
+        assert _row_sq_dists(pts, x, rows).tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("name,c", [("offset_1e4", 5), ("unit_patches", 64), ("duplicates", 8)])
+    def test_one_distance_matrix_per_step(self, name, c, monkeypatch):
+        # iterations + 1 distance matrices, plus one per step that relocates
+        dists, relocations = [], []
+        real_dists, real_relocate = dictionary._sq_dists, dictionary._relocate_empty
+        monkeypatch.setattr(
+            dictionary, "_sq_dists", lambda *a: dists.append(1) or real_dists(*a)
+        )
+        monkeypatch.setattr(
+            dictionary, "_relocate_empty", lambda *a: relocations.append(1) or real_relocate(*a)
+        )
+        make, _ = BIT_IDENTITY_CASES[name]
+        res = kmeans(DataMatrix(make()), c, max_iters=20, seed=0)
+        assert len(dists) == res.iterations + 1 + len(relocations)
+        assert (len(relocations) > 0) == (name == "duplicates")
+
+
+class TestKCentersBitIdentity:
+    @staticmethod
+    def _plain_kcenters(F, c, first):
+        selected = [first]
+        d2 = ((F - F[first]) ** 2).sum(axis=1)
+        for _ in range(1, c):
+            nxt = int(np.argmax(d2))
+            selected.append(nxt)
+            d2 = np.minimum(d2, ((F - F[nxt]) ** 2).sum(axis=1))
+        return selected, float(np.sqrt(d2.max()))
+
+    @pytest.mark.parametrize("name", ["offset_1e4", "integer_grid", "duplicates"])
+    def test_matches_plain_traversal(self, name):
+        F = BIT_IDENTITY_CASES[name][0]().T
+        for c, first in [(2, 0), (10, 3), (F.shape[0], 1)]:
+            selected, radius = self._plain_kcenters(F, c, first)
+            assert kcenters(F, c, seed=0, first=first) == selected
+            assert covering_radius(F, selected) == radius

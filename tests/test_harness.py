@@ -222,6 +222,34 @@ class TestSynthTextureImages:
         with pytest.raises(ValueError):
             synth_texture_images(5, 2, 9, 4, 3, 0.5, seed=0)
 
+    @staticmethod
+    def _loop_oracle(images_per_class, classes, size, cell, prototypes, noise, seed):
+        # one prototype draw per image, then one tile at a time
+        rng = np.random.default_rng(seed)
+        protos = rng.standard_normal((classes, prototypes, cell, cell))
+        slots = size // cell
+        n = classes * images_per_class
+        labels = np.arange(n) % classes
+        images = np.empty((n, size, size))
+        for i in range(n):
+            pick = rng.integers(prototypes, size=(slots, slots))
+            for r in range(slots):
+                for c in range(slots):
+                    images[i, r * cell : (r + 1) * cell, c * cell : (c + 1) * cell] = protos[
+                        labels[i], pick[r, c]
+                    ]
+        images += noise * rng.standard_normal(images.shape)
+        return images, labels
+
+    # slots = size // cell: 5 (odd), 4 (even), 1
+    @pytest.mark.parametrize("args", [(3, 3, 15, 3, 4, 0.5, 2), (4, 2, 16, 4, 3, 0.8, 0), (2, 2, 6, 6, 5, 1.0, 1)])
+    def test_matches_loop_oracle(self, args):
+        images, labels = synth_texture_images(*args)
+        expected, expected_labels = self._loop_oracle(*args)
+        assert images.tobytes() == expected.tobytes()
+        assert images.shape == expected.shape
+        assert np.array_equal(labels, expected_labels)
+
 
 class TestEmit:
     def test_json_round_trip_structurally_identical(self, tmp_path):
