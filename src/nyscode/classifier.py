@@ -31,8 +31,8 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
     labels = np.asarray(labels)
     if labels.shape != (C.N,):
         raise ValueError(f"labels must have shape ({C.N},), got {labels.shape}")

@@ -36,11 +36,20 @@ EXIT_FORMAT = 3
 EXIT_NUMERICAL = 4
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the data seed")
+# config subcommand -> (help, config class, runner). The lambdas look the runner up when
+# they run, so a rebound ``cli.run_curve`` (a test spy, the perfbench tracer) is the one called.
+_CONFIG_COMMANDS = {
+    "curve": ("run an accuracy-vs-codebook-size sweep", CurveConfig, lambda c: run_curve(c)),
+    "pdl": ("compare pruned overshoot dictionaries to baseline", PdlConfig,
+            lambda c: run_pdl_compare(c)),
+    "nystrom-eval": ("empirical coverage of the error bound", NystromEvalConfig,
+                     lambda c: run_nystrom_eval(c)),
+}
+
+
+def _common_flags(p: argparse.ArgumentParser, seed_help: str, seed_default=None) -> None:
+    p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset as CSV")
-    _common_flags(p_synth)
+    _common_flags(p_synth, "data seed", 0)
     p_synth.add_argument("--d", type=int, default=32)
     p_synth.add_argument("--k", type=int, default=4)
     p_synth.add_argument("--n", type=int, default=800)
@@ -61,17 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--within", type=float, default=0.6)
     p_synth.add_argument("--modes-per-class", type=int, default=2)
 
-    p_curve = sub.add_parser("curve", help="run an accuracy-vs-codebook-size sweep")
-    _common_flags(p_curve)
-
-    p_pdl = sub.add_parser("pdl", help="compare pruned overshoot dictionaries to baseline")
-    _common_flags(p_pdl)
-
-    p_nys = sub.add_parser("nystrom-eval", help="empirical coverage of the error bound")
-    _common_flags(p_nys)
+    for name, (help_text, _, _) in _CONFIG_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _common_flags(p, "override the data seed")
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+        p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     p_enc = sub.add_parser("encode", help="encode a CSV dataset against a sampled dictionary")
-    _common_flags(p_enc)
+    _common_flags(p_enc, "dictionary sampling seed", 0)
     p_enc.add_argument("--data", type=str, required=True, help="input CSV, one sample per row")
     p_enc.add_argument("--labels", action="store_true", help="last CSV field is a label")
     p_enc.add_argument("--header", action="store_true", help="skip one header line")
@@ -81,11 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, required: bool = True) -> dict:
+def _load_config(args) -> dict:
     if args.config is None:
-        if required:
-            raise ValueError("this subcommand requires --config <file.json>")
-        return {}
+        raise ValueError("this subcommand requires --config <file.json>")
     try:
         raw = Path(args.config).read_text()
     except OSError as e:
@@ -100,46 +104,33 @@ def _load_config(args, required: bool = True) -> dict:
 
 
 def _cmd_synth(args) -> None:
-    seed = args.seed if args.seed is not None else 0
+    if args.out is None:
+        raise ValueError("synth requires --out <file.csv>")
     ds = synth_labeled_manifold(
         args.d,
         args.k,
         args.n,
         args.classes,
         args.noise,
-        seed,
+        args.seed,
         class_sep=args.class_sep,
         within=args.within,
         modes_per_class=args.modes_per_class,
     )
-    if args.out is None:
-        raise ValueError("synth requires --out <file.csv>")
     save_csv(ds, args.out)
 
 
-def _run_config_command(args, config_cls, runner) -> None:
+def _cmd_config(args) -> None:
+    _, config_cls, runner = _CONFIG_COMMANDS[args.command]
     raw = _load_config(args)
     if args.seed is not None:
         raw["data_seed"] = args.seed
     emit(runner(config_cls.from_dict(raw)), args.out, args.format)
 
 
-def _cmd_curve(args) -> None:
-    _run_config_command(args, CurveConfig, run_curve)
-
-
-def _cmd_pdl(args) -> None:
-    _run_config_command(args, PdlConfig, run_pdl_compare)
-
-
-def _cmd_nystrom_eval(args) -> None:
-    _run_config_command(args, NystromEvalConfig, run_nystrom_eval)
-
-
 def _cmd_encode(args) -> None:
     ds = load_csv(args.data, has_labels=args.labels, header=args.header)
-    seed = args.seed if args.seed is not None else 0
-    idx = sample_indices(ds.data.N, args.c, seed)
+    idx = sample_indices(ds.data.N, args.c, args.seed)
     D = Dictionary(ds.data.values[:, idx], source="sampled", indices=idx)
     codes = encode(ds.data, D, args.alpha)
     lines = [",".join(format(v, ".17g") for v in row) for row in codes.values]
@@ -148,9 +139,7 @@ def _cmd_encode(args) -> None:
 
 _COMMANDS = {
     "synth": _cmd_synth,
-    "curve": _cmd_curve,
-    "pdl": _cmd_pdl,
-    "nystrom-eval": _cmd_nystrom_eval,
+    **dict.fromkeys(_CONFIG_COMMANDS, _cmd_config),
     "encode": _cmd_encode,
 }
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,35 +35,11 @@ from .data import (
 from .dictionary import kmeans, sample_indices
 from .nystrom import approximation_errors, decompose
 from .pooling import pool, pdl
-from .spectra import check_energy, spectral_report
-
-
-def _from_dict(cls, d: dict):
-    """Build a config dataclass from a flat dict; unknown or missing keys are errors."""
-    if not isinstance(d, dict):
-        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - names)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    required = {
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    }
-    missing = sorted(required - set(d))
-    if missing:
-        raise ValueError(f"missing config keys: {', '.join(missing)}")
-    hints = typing.get_type_hints(cls)
-    for key, value in d.items():
-        if not _fits(value, hints[key]):
-            expected = hints[key].__name__ if isinstance(hints[key], type) else str(hints[key])
-            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-    return cls(**d)
+from .spectra import SpectralReport, check_energy, spectral_report
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value matches a config field annotation; ints pass as floats."""
+    """Whether a JSON value fits a field annotation; ints pass as floats, NaN and inf fail."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
@@ -77,12 +54,43 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, hint)
 
 
+class _Config:
+    """Base of the config dataclasses: construction from a flat JSON object."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Build a config from a flat dict; unknown keys, missing keys and mistyped values
+        are errors. A list given for a tuple-typed field becomes a tuple."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(d) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = sorted(
+            f.name
+            for f in fields
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING
+        )
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in d.items():
+            if not _fits(value, hints[key]):
+                expected = hints[key].__name__ if isinstance(hints[key], type) else str(hints[key])
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        return cls(**{
+            key: tuple(value) if typing.get_origin(hints[key]) is tuple else value
+            for key, value in d.items()
+        })
+
+
 @dataclass
-class CurveConfig:
+class CurveConfig(_Config):
     """Parameters of an accuracy-versus-codebook-size sweep."""
 
     c_grid: list[int]
@@ -108,13 +116,9 @@ class CurveConfig:
     split_seed: int = 0
     nystrom_limit: int = 2000
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CurveConfig":
-        return _from_dict(cls, d)
-
 
 @dataclass
-class PdlConfig:
+class PdlConfig(_Config):
     """Parameters of an overshoot-and-prune dictionary comparison."""
 
     final_c_grid: list[int]
@@ -137,15 +141,9 @@ class PdlConfig:
     split_fraction: float = 0.8
     split_seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PdlConfig":
-        cfg = _from_dict(cls, d)
-        cfg.regions = tuple(cfg.regions)
-        return cfg
-
 
 @dataclass
-class NystromEvalConfig:
+class NystromEvalConfig(_Config):
     """Parameters of an empirical bound-coverage evaluation."""
 
     c_grid: list[int]
@@ -158,10 +156,6 @@ class NystromEvalConfig:
     alpha: float = DEFAULT_ALPHA
     energy: float = 0.95
     normalize: str = "unit_l2"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NystromEvalConfig":
-        return _from_dict(cls, d)
 
 
 @dataclass
@@ -208,6 +202,10 @@ class NystromCell:
     within_bound: bool
 
 
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
 @dataclass
 class ExperimentReport:
     kind: str  # "curve", "pdl", or "nystrom_eval"
@@ -219,16 +217,12 @@ class ExperimentReport:
     coverage: float | None = None
     spectral: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    created_at: str = ""
+    created_at: str = field(default_factory=_now)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["models"] = {name: m.to_dict() for name, m in self.models.items()}
         return d
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _split(N: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,10 +271,47 @@ def _check_alpha(X: DataMatrix, alpha: float) -> None:
 
 
 def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
-    """The full code matrix of X and its spectral report; an all-zero C is a config error."""
-    _check_alpha(X, alpha)
+    """The full code matrix C of X, its kernel C C^T and its spectral report."""
     C = full_code(X, alpha)
-    return C, spectral_report(C, energy=energy)
+    report = spectral_report(C, energy=energy)
+    return C, gram_kernel(C), report
+
+
+def _spectral_summary(rep: SpectralReport, k_key: str) -> dict:
+    """The report's ``spectral`` entry for one code matrix; ``k_key`` names its rank."""
+    return {k_key: rep.k, "rank_k_residual": rep.rank_k_residual,
+            "scaled_diag_max": rep.scaled_diag_max}
+
+
+def _fit_score(
+    ftr: CodeMatrix, ytr: np.ndarray, fte: CodeMatrix, yte: np.ndarray, n_classes: int, lam: float
+) -> tuple[float, float]:
+    """Train the ridge classifier on (ftr, ytr); return its (train, test) accuracy."""
+    model = classifier.train_ridge(ftr, ytr, n_classes, lam)
+    return (
+        classifier.accuracy(classifier.predict(model, ftr), ytr),
+        classifier.accuracy(classifier.predict(model, fte), yte),
+    )
+
+
+_SCORES = ("train_acc", "test_acc")  # the fields of a _fit_score tuple
+
+
+def _mean_std(names: tuple[str, ...], samples: list[tuple]) -> dict[str, float]:
+    """``name`` and ``name_std``: mean and std over per-seed tuples of each named field."""
+    stats = {}
+    for name, values in zip(names, zip(*samples)):
+        stats[name] = float(np.mean(values))
+        stats[f"{name}_std"] = float(np.std(values))
+    return stats
+
+
+# (observed field, predicted field, saturation form) of each curve fit, in fitting order
+_FITS = (
+    ("train_acc", "pred_train", bounds.ACCURACY_FORM),
+    ("test_acc", "pred_test", bounds.ACCURACY_FORM),
+    ("kernel_err", "pred_kernel_err", bounds.ERROR_FORM),
+)
 
 
 def run_curve(cfg: CurveConfig) -> ExperimentReport:
@@ -306,25 +337,19 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     lam = cfg.lam if cfg.lam is not None else 1e-3 * n_train
     _check_alpha(Xtr, cfg.alpha)
 
-    warnings = []
-    kept = []
-    for c in grid:
-        if c > n_train:
-            warnings.append(f"skipped c={c}: exceeds training set size {n_train}")
-        else:
-            kept.append(c)
+    kept = [c for c in grid if c <= n_train]
+    warnings = [f"skipped c={c}: exceeds training set size {n_train}" for c in grid if c > n_train]
     if len(kept) < 2:
         raise ValueError("fewer than 2 usable codebook sizes after skipping oversized ones")
 
     diagnostics = n_train <= cfg.nystrom_limit
     C_full = K_full = spec_rep = None
     if diagnostics:
-        C_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
-        K_full = gram_kernel(C_full)
+        C_full, K_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
 
     points: list[CurvePoint] = []
     for c in kept:
-        tr_accs, te_accs, code_errs, kernel_errs = [], [], [], []
+        scores, errs = [], []
         for seed in cfg.seeds:
             if cfg.dict_source == "sampled":
                 idx = sample_indices(n_train, c, seed)
@@ -334,67 +359,40 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed, normalize_atoms=True).dictionary
             ctr = encode(Xtr, D, cfg.alpha)
             cte = encode(Xte, D, cfg.alpha)
-            model = classifier.train_ridge(ctr, ytr, dataset.n_classes, lam)
-            tr_accs.append(classifier.accuracy(classifier.predict(model, ctr), ytr))
-            te_accs.append(classifier.accuracy(classifier.predict(model, cte), yte))
+            scores.append(_fit_score(ctr, ytr, cte, yte, dataset.n_classes, lam))
             if diagnostics and idx is not None:
-                errs = approximation_errors(C_full, decompose(C_full, idx), K_full)
-                code_errs.append(errs.code_err)
-                kernel_errs.append(errs.kernel_err)
-        point = CurvePoint(
-            c=c,
-            seeds_used=len(cfg.seeds),
-            train_acc=float(np.mean(tr_accs)),
-            train_acc_std=float(np.std(tr_accs)),
-            test_acc=float(np.mean(te_accs)),
-            test_acc_std=float(np.std(te_accs)),
+                e = approximation_errors(C_full, decompose(C_full, idx), K_full)
+                errs.append((e.code_err, e.kernel_err))
+        points.append(
+            CurvePoint(
+                c=c,
+                seeds_used=len(cfg.seeds),
+                **_mean_std(_SCORES, scores),
+                **_mean_std(("code_err", "kernel_err"), errs),
+                bound_eq1=None if spec_rep is None else bounds.eval_eq1_bound(spec_rep, c),
+            )
         )
-        if code_errs:
-            point.code_err = float(np.mean(code_errs))
-            point.code_err_std = float(np.std(code_errs))
-            point.kernel_err = float(np.mean(kernel_errs))
-            point.kernel_err_std = float(np.std(kernel_errs))
-        if spec_rep is not None:
-            point.bound_eq1 = bounds.eval_eq1_bound(spec_rep, c)
-        points.append(point)
 
-    fit_cs = kept[:2]
+    # each saturation model is fitted on the two smallest sizes and predicts every size
     models: dict[str, bounds.SaturationModel] = {}
-    p1, p2 = points[0], points[1]
-    models["train_acc"] = bounds.fit_two_point(
-        (p1.c, p1.train_acc), (p2.c, p2.train_acc), bounds.ACCURACY_FORM
-    )
-    models["test_acc"] = bounds.fit_two_point(
-        (p1.c, p1.test_acc), (p2.c, p2.test_acc), bounds.ACCURACY_FORM
-    )
-    if p1.kernel_err is not None and p2.kernel_err is not None:
-        models["kernel_err"] = bounds.fit_two_point(
-            (p1.c, p1.kernel_err), (p2.c, p2.kernel_err), bounds.ERROR_FORM
-        )
+    p1, p2 = points[:2]
+    for observed, _, form in _FITS:
+        y1, y2 = getattr(p1, observed), getattr(p2, observed)
+        if y1 is not None and y2 is not None:
+            models[observed] = bounds.fit_two_point((p1.c, y1), (p2.c, y2), form)
     for point in points:
-        point.is_fit_point = point.c in fit_cs
-        point.pred_train = bounds.predict(models["train_acc"], point.c)
-        point.pred_test = bounds.predict(models["test_acc"], point.c)
-        if "kernel_err" in models:
-            point.pred_kernel_err = bounds.predict(models["kernel_err"], point.c)
+        point.is_fit_point = point.c in kept[:2]
+        for observed, predicted, _ in _FITS:
+            if observed in models:
+                setattr(point, predicted, bounds.predict(models[observed], point.c))
 
-    echo = dataclasses.asdict(cfg)
-    echo["lam_effective"] = lam
-    spectral = {}
-    if spec_rep is not None:
-        spectral = {
-            "k": spec_rep.k,
-            "rank_k_residual": spec_rep.rank_k_residual,
-            "scaled_diag_max": spec_rep.scaled_diag_max,
-        }
     return ExperimentReport(
         kind="curve",
-        config=echo,
+        config={**dataclasses.asdict(cfg), "lam_effective": lam},
         curve=points,
         models=models,
-        spectral=spectral,
+        spectral={} if spec_rep is None else _spectral_summary(spec_rep, "k"),
         warnings=warnings,
-        created_at=_now(),
     )
 
 
@@ -430,10 +428,10 @@ def synth_texture_images(
     return images, labels
 
 
-def _normalized_grid(grid: PatchGrid, mode: str) -> PatchGrid:
-    return PatchGrid(
-        normalize_columns(grid.patches, mode), grid.grid_rows, grid.grid_cols, grid.images
-    )
+def _normalized_patches(images: np.ndarray, cfg: PdlConfig) -> PatchGrid:
+    """The patch grid of an image stack, its patches normalized."""
+    grid = extract_patches_stack(images, cfg.patch, cfg.stride)
+    return dataclasses.replace(grid, patches=normalize_columns(grid.patches, cfg.normalize))
 
 
 def _pooled_features(
@@ -463,21 +461,16 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
         cfg.data_seed,
     )
     train_idx, test_idx = _split(len(images), cfg.split_fraction, cfg.split_seed)
-    grid_tr = _normalized_grid(
-        extract_patches_stack(images[train_idx], cfg.patch, cfg.stride), cfg.normalize
-    )
-    grid_te = _normalized_grid(
-        extract_patches_stack(images[test_idx], cfg.patch, cfg.stride), cfg.normalize
-    )
+    grid_tr = _normalized_patches(images[train_idx], cfg)
+    grid_te = _normalized_patches(images[test_idx], cfg)
     ytr = labels[train_idx]
     yte = labels[test_idx]
     lam = cfg.lam if cfg.lam is not None else 1e-3 * len(train_idx)
 
     rows: list[PdlRow] = []
     for final_c in final_cs:
-        by_overshoot: dict[int, tuple[float, float, float, float]] = {}
-        for overshoot in overshoots:
-            tr_accs, te_accs = [], []
+        for overshoot in overshoots:  # sorted and starting at 1: the baseline comes first
+            scores = []
             for seed in cfg.seeds:
                 D = pdl(
                     grid_tr,
@@ -491,35 +484,22 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
                 )
                 ftr = _pooled_features(grid_tr, D, cfg.alpha, cfg.regions, cfg.pool_op)
                 fte = _pooled_features(grid_te, D, cfg.alpha, cfg.regions, cfg.pool_op)
-                model = classifier.train_ridge(ftr, ytr, cfg.classes, lam)
-                tr_accs.append(classifier.accuracy(classifier.predict(model, ftr), ytr))
-                te_accs.append(classifier.accuracy(classifier.predict(model, fte), yte))
-            by_overshoot[overshoot] = (
-                float(np.mean(tr_accs)),
-                float(np.std(tr_accs)),
-                float(np.mean(te_accs)),
-                float(np.std(te_accs)),
-            )
-        base = by_overshoot[1][2]
-        for overshoot in overshoots:
-            tr_m, tr_s, te_m, te_s = by_overshoot[overshoot]
+                scores.append(_fit_score(ftr, ytr, fte, yte, cfg.classes, lam))
+            stats = _mean_std(_SCORES, scores)
+            if overshoot == 1:
+                base = stats["test_acc"]
             rows.append(
                 PdlRow(
                     final_c=final_c,
                     overshoot=overshoot,
                     seeds_used=len(cfg.seeds),
-                    train_acc=tr_m,
-                    train_acc_std=tr_s,
-                    test_acc=te_m,
-                    test_acc_std=te_s,
-                    delta_vs_baseline=te_m - base,
+                    **stats,
+                    delta_vs_baseline=stats["test_acc"] - base,
                 )
             )
 
-    echo = dataclasses.asdict(cfg)
-    echo["regions"] = list(cfg.regions)
-    echo["lam_effective"] = lam
-    return ExperimentReport(kind="pdl", config=echo, pdl_rows=rows, created_at=_now())
+    config = {**dataclasses.asdict(cfg), "regions": list(cfg.regions), "lam_effective": lam}
+    return ExperimentReport(kind="pdl", config=config, pdl_rows=rows)
 
 
 def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
@@ -531,13 +511,9 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     for k in sorted(set(cfg.k_list)):
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
-        C, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
-        K = gram_kernel(C)
-        spectral[str(k)] = {
-            "k_effective": rep.k,
-            "rank_k_residual": rep.rank_k_residual,
-            "scaled_diag_max": rep.scaled_diag_max,
-        }
+        _check_alpha(Xn, cfg.alpha)
+        C, K, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
+        spectral[str(k)] = _spectral_summary(rep, "k_effective")
         for c in sorted(set(cfg.c_grid)):
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
@@ -561,7 +537,6 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         cells=cells,
         coverage=coverage,
         spectral=spectral,
-        created_at=_now(),
     )
 
 

@@ -73,6 +73,12 @@ class TestTrainRidge:
         with pytest.raises(ValueError):
             train_ridge(C, np.array([0, 1]), 2, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        C = _codes([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="lam must be finite"):
+            train_ridge(C, np.array([0, 1]), 2, lam=lam)
+
     def test_label_shape_mismatch(self):
         C = _codes([[1.0], [2.0]])
         with pytest.raises(ValueError):

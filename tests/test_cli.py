@@ -43,8 +43,30 @@ class TestSynthCommand:
         cli.main(["synth", "--n", "20", "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_requires_out(self):
+    def test_requires_out(self, monkeypatch):
+        # the missing --out is reported before any dataset is generated
+        def unexpected(*args, **kwargs):
+            raise AssertionError("dataset generated without --out")
+
+        monkeypatch.setattr(cli, "synth_labeled_manifold", unexpected)
         assert cli.main(["synth", "--n", "20"]) == cli.EXIT_ARGUMENT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--format", "json", "--out", "x.csv"],
+            ["synth", "--config", "cfg.json", "--out", "x.csv"],
+            ["encode", "--data", "x.csv", "--c", "2", "--format", "csv"],
+            ["encode", "--data", "x.csv", "--c", "2", "--config", "cfg.json"],
+        ],
+    )
+    def test_config_flags_not_accepted(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == cli.EXIT_ARGUMENT
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCurveCommand:
@@ -71,6 +93,13 @@ class TestCurveCommand:
 
     def test_missing_config_exits_2(self):
         assert cli.main(["curve"]) == cli.EXIT_ARGUMENT
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_value_names_key(self, tmp_path, capsys, literal):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"c_grid": [4, 8, 16], "seeds": [0], "lam": %s}' % literal)
+        assert cli.main(["curve", "--config", str(p)]) == cli.EXIT_ARGUMENT
+        assert "config key 'lam' must be" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -163,6 +192,33 @@ class TestEncodeCommand:
             cli.main(["encode", "--data", str(data), "--labels", "--c", "99"])
             == cli.EXIT_ARGUMENT
         )
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "command, runner, payload",
+        [
+            ("curve", "run_curve", CURVE_CFG),
+            ("pdl", "run_pdl_compare", {"final_c_grid": [4], "overshoots": [1], "seeds": [0]}),
+            ("nystrom-eval", "run_nystrom_eval", {"c_grid": [4], "seeds": [0]}),
+        ],
+    )
+    def test_runner_looked_up_at_call_time(self, tmp_path, monkeypatch, command, runner, payload):
+        # rebinding the module attribute after import must reach main(), as the tracer does
+        calls, emitted = [], []
+        sentinel = object()
+
+        def spy(cfg):
+            calls.append(cfg)
+            return sentinel
+
+        monkeypatch.setattr(cli, runner, spy)
+        monkeypatch.setattr(cli, "emit", lambda report, path, fmt: emitted.append(report))
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg, "--seed", "7"]) == 0
+        assert len(calls) == 1
+        assert calls[0].data_seed == 7
+        assert emitted == [sentinel]
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from nyscode.harness import (
     NYSTROM_CSV_HEADER,
     PDL_CSV_HEADER,
     CurveConfig,
+    ExperimentReport,
     NystromEvalConfig,
     PdlConfig,
     emit,
@@ -63,6 +64,16 @@ class TestConfigParsing:
         assert cfg.alpha == 0.25
         assert cfg.energy == 0.95
 
+    def test_tuple_field_parsed_as_tuple_and_echoed_as_list(self):
+        cfg = PdlConfig.from_dict({**SMALL_PDL, "regions": [1, 2]})
+        assert cfg.regions == (1, 2)
+        assert isinstance(cfg.regions, tuple)
+        rep = run_pdl_compare(cfg)
+        assert json.loads(json.dumps(rep.to_dict()))["config"]["regions"] == [1, 2]
+
+    def test_report_created_at_defaults_to_utc_now(self):
+        assert ExperimentReport(kind="pdl", config={}).created_at.endswith("+00:00")
+
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError):
             PdlConfig.from_dict([1, 2])
@@ -79,6 +90,10 @@ class TestConfigParsing:
             (PdlConfig, "regions", [2, 2, 2]),
             (PdlConfig, "pool_op", None),
             (NystromEvalConfig, "k_list", 2),
+            (CurveConfig, "lam", float("nan")),
+            (CurveConfig, "alpha", float("nan")),
+            (PdlConfig, "lam", float("inf")),
+            (NystromEvalConfig, "energy", float("-inf")),
         ],
     )
     def test_wrong_type_names_key(self, cls, key, value):
