@@ -68,9 +68,13 @@ class CodeMatrix:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ValueError("code matrix must be 2-D")
-        if not np.all(np.isfinite(self.values)):
+        if not self.values.size:
+            return
+        # NaN propagates through min and max, and +-inf is one of them
+        lo, hi = self.values.min(), self.values.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("code matrix contains NaN or Inf")
-        if self.values.size and self.values.min() < 0:
+        if lo < 0:
             raise ValueError("code matrix entries must be >= 0")
 
     @property
@@ -86,7 +90,12 @@ def encode(X: DataMatrix, D: Dictionary, alpha: float) -> CodeMatrix:
     """Encode every column of X: entry (i, j) = max(0, <x_i, d_j> - alpha)."""
     if X.d != D.d:
         raise ValueError(f"feature dim mismatch: data has d={X.d}, dictionary d={D.d}")
-    return CodeMatrix(np.maximum(0.0, X.values.T @ D.atoms - alpha), alpha)
+    G = X.values.T @ D.atoms
+    # in place, with the dtype and bits of np.maximum(0.0, G - alpha)
+    G = G.astype(np.result_type(G, alpha), copy=False)
+    G -= alpha
+    np.maximum(0.0, G, out=G)
+    return CodeMatrix(G, alpha)
 
 
 def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:

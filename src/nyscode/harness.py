@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, classifier
-from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code, gram_kernel
+from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code
 from .data import (
     DataMatrix,
     LabeledDataset,
@@ -271,10 +271,9 @@ def _check_alpha(X: DataMatrix, alpha: float) -> None:
 
 
 def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
-    """The full code matrix C of X, its kernel C C^T and its spectral report."""
+    """The full code matrix C of X and its spectral report."""
     C = full_code(X, alpha)
-    report = spectral_report(C, energy=energy)
-    return C, gram_kernel(C), report
+    return C, spectral_report(C, energy=energy)
 
 
 def _spectral_summary(rep: SpectralReport, k_key: str) -> dict:
@@ -343,9 +342,9 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         raise ValueError("fewer than 2 usable codebook sizes after skipping oversized ones")
 
     diagnostics = n_train <= cfg.nystrom_limit
-    C_full = K_full = spec_rep = None
+    C_full = spec_rep = None
     if diagnostics:
-        C_full, K_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
+        C_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
 
     points: list[CurvePoint] = []
     for c in kept:
@@ -361,7 +360,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
             cte = encode(Xte, D, cfg.alpha)
             scores.append(_fit_score(ctr, ytr, cte, yte, dataset.n_classes, lam))
             if diagnostics and idx is not None:
-                e = approximation_errors(C_full, decompose(C_full, idx), K_full)
+                e = approximation_errors(C_full, decompose(C_full, idx), spec_rep.singular_values)
                 errs.append((e.code_err, e.kernel_err))
         points.append(
             CurvePoint(
@@ -512,13 +511,13 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
         _check_alpha(Xn, cfg.alpha)
-        C, K, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
+        C, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
         spectral[str(k)] = _spectral_summary(rep, "k_effective")
         for c in sorted(set(cfg.c_grid)):
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
                 idx = sample_indices(cfg.n_samples, c, seed)
-                errs = approximation_errors(C, decompose(C, idx), K)
+                errs = approximation_errors(C, decompose(C, idx), rep.singular_values)
                 cells.append(
                     NystromCell(
                         k=k,

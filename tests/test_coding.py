@@ -31,6 +31,18 @@ class TestCodeMatrix:
         with pytest.raises(ValueError):
             CodeMatrix(np.array([[1.0, -0.1]]), alpha=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_named(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            CodeMatrix(np.array([[1.0, bad], [0.0, 2.0]]), alpha=0.0)
+
+    def test_negative_entry_named(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            CodeMatrix(np.array([[1.0, 0.0], [-1e-300, 2.0]]), alpha=0.0)
+
+    def test_empty_accepted(self):
+        assert CodeMatrix(np.zeros((0, 3)), alpha=0.0).c == 3
+
 
 class TestEncode:
     def test_identity_dictionary(self):
@@ -65,6 +77,23 @@ class TestEncode:
         lo = encode(X, D, alpha=0.1).values
         hi = encode(X, D, alpha=0.3).values
         assert np.all(hi <= lo)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, -0.5, 0.7])
+    def test_bit_identical_to_out_of_place_expression(self, alpha):
+        rng = np.random.default_rng(11)
+        X = DataMatrix(rng.standard_normal((8, 40)))
+        D = Dictionary(rng.standard_normal((8, 13)), source="kmeans")
+        expected = np.maximum(0.0, X.values.T @ D.atoms - alpha)
+        got = encode(X, D, alpha).values
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_integer_data_matches_out_of_place_expression(self):
+        X = DataMatrix(np.arange(6).reshape(2, 3))
+        D = Dictionary(np.array([[1, 0], [0, 1]]), source="kmeans")
+        expected = np.maximum(0.0, X.values.T @ D.atoms - 1.5)
+        assert np.array_equal(encode(X, D, 1.5).values, expected)
 
     def test_dimension_mismatch(self):
         X = DataMatrix(np.ones((3, 2)))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nyscode import coding, nystrom
 from nyscode.harness import (
     CURVE_CSV_HEADER,
     NYSTROM_CSV_HEADER,
@@ -220,6 +221,36 @@ class TestRunNystromEval:
         a = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         b = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         assert report_csv(a) == report_csv(b)
+
+
+class TestNoKernelInSweeps:
+    """The sweeps score every Nystrom cell from the spectrum: no N x N kernel C C^T."""
+
+    @pytest.fixture
+    def grams(self, monkeypatch):
+        calls = []
+        for module in (coding, nystrom):
+            def spy(A, _real=module._sym_gram, _name=module.__name__):
+                calls.append((_name, A.shape))
+                return _real(A)
+
+            monkeypatch.setattr(module, "_sym_gram", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (run_curve, CurveConfig(**SMALL_CURVE)),
+            (run_curve, CurveConfig(**SMALL_CURVE, dict_source="kmeans", kmeans_iters=10)),
+            (run_nystrom_eval, NystromEvalConfig(**SMALL_NYSTROM)),
+        ],
+        ids=["curve-sampled", "curve-kmeans", "nystrom-eval"],
+    )
+    def test_no_kernel_built(self, grams, run, cfg):
+        run(cfg)
+        assert not [call for call in grams if call[0] == "nyscode.nystrom"]
+        # the one Gram product left builds C itself from the N x d data
+        assert grams and all(shape[0] != shape[1] for _, shape in grams)
 
 
 class TestSynthTextureImages:

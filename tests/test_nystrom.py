@@ -3,17 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nyscode import nystrom
 from nyscode.coding import CodeMatrix, full_code, gram_kernel
 from nyscode.data import DataMatrix, normalize_columns
 from nyscode.dictionary import sample_indices
 from nyscode.nystrom import (
     BLOCK_ROWS,
+    TRACE_FLOOR,
     NystromFactors,
     approximation_errors,
     decompose,
     reconstruct_code,
     reconstruct_kernel,
 )
+from nyscode.spectra import singular_values
 
 
 def _random_psd(n, rank, seed, decay=None):
@@ -80,9 +83,48 @@ class TestDecompose:
                 indices=np.array([0]),
                 E=np.ones((3, 1)),
                 W=np.array([[2.0]]),
-                W_pinv=np.array([[0.5]]),
+                eigvals=np.array([2.0]),
+                eigvecs=np.ones((1, 1)),
                 pinv_tol=1e-10,
             )
+
+    def test_non_symmetric_rejected(self):
+        C = _random_psd(5, 5, seed=3)
+        C[1, 3] += 1e-12
+        with pytest.raises(ValueError, match="symmetric"):
+            decompose(C, [1, 3])
+
+    @pytest.mark.parametrize(
+        "make, c, kept",
+        [
+            (lambda: _random_psd(12, 6, seed=6), 4, 4),  # full-rank W
+            (lambda: _random_psd(12, 3, seed=3), 6, 3),  # eigenvalues dropped by the cutoff
+            (lambda: _random_psd(12, 1, seed=1), 5, 1),
+            (lambda: _code(80, seed=0).values, 24, 24),  # thresholded, indefinite
+        ],
+        ids=["full-rank", "rank-3", "rank-1", "code-matrix"],
+    )
+    def test_pinv_matches_numpy(self, make, c, kept):
+        C = make()
+        f = decompose(C, sample_indices(C.shape[0], c, 0))
+        ref = np.linalg.pinv(f.W, rcond=1e-10)
+        assert len(f.eigvals) == kept
+        assert np.linalg.norm(f.W_pinv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_eigenpairs_ordered_and_kept_above_tolerance(self):
+        C = _code(40, seed=3)
+        f = decompose(C, sample_indices(40, 10, 0))
+        mag = np.abs(f.eigvals)
+        assert np.all(np.diff(mag) <= 0.0)
+        assert mag[-1] > f.pinv_tol * mag[0]
+        assert np.allclose(f.eigvecs.T @ f.eigvecs, np.eye(len(mag)), atol=1e-12)
+        W = (f.eigvecs * f.eigvals) @ f.eigvecs.T
+        assert np.linalg.norm(W - f.W) <= 1e-12 * np.linalg.norm(f.W)
+
+    def test_zero_block_has_zero_pinv(self):
+        f = decompose(np.zeros((4, 4)), [0, 2])
+        assert f.eigvals.size == 0
+        assert np.array_equal(f.W_pinv, np.zeros((2, 2)))
 
 
 class TestReconstructCode:
@@ -197,10 +239,14 @@ class TestErrorDecay:
             assert means[i + 1] <= 1.02 * means[i]
 
 
-def _code(n, seed):
-    # thresholded code matrix of unit columns: symmetric and indefinite
-    X = DataMatrix(np.random.default_rng(seed).standard_normal((16, n)))
-    return full_code(normalize_columns(X, "unit_l2"), alpha=0.25)
+def _code(n, seed, gap=None):
+    # thresholded code matrix of unit columns: symmetric and indefinite; with
+    # ``gap``, data columns 0 and 1 differ by gap times column 2, so a sample
+    # holding both has a near-singular W
+    X = np.random.default_rng(seed).standard_normal((16, n))
+    if gap is not None:
+        X[:, 1] = X[:, 0] + gap * X[:, 2]
+    return full_code(normalize_columns(DataMatrix(X), "unit_l2"), alpha=0.25)
 
 
 class TestBlockedResiduals:
@@ -209,30 +255,135 @@ class TestBlockedResiduals:
         C = _code(n, seed=n)
         K = gram_kernel(C)
         f = decompose(C, sample_indices(n, 12, 0))
-        given = approximation_errors(C, f, K)
-        assert approximation_errors(C, f) == given
+        exact = approximation_errors(C, f)
         direct_code = np.linalg.norm(C.values - reconstruct_code(f))
         direct_kernel = np.linalg.norm(K - reconstruct_kernel(f))
-        assert given.code_err == pytest.approx(direct_code, rel=1e-12)
-        assert given.kernel_err == pytest.approx(direct_kernel, rel=1e-12)
+        assert exact.code_err == pytest.approx(direct_code, rel=1e-12)
+        assert exact.kernel_err == pytest.approx(direct_kernel, rel=1e-12)
 
     def test_full_sample_error_is_zero(self):
         n = BLOCK_ROWS + 5
         C = _random_psd(n, n, seed=9)
         K = C @ C
-        errs = approximation_errors(C, decompose(C, np.arange(n)), K)
+        errs = approximation_errors(C, decompose(C, np.arange(n)))
         assert errs.code_err <= 1e-9 * np.linalg.norm(C)
         assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
 
     def test_no_n_by_n_temporary(self):
+        # given the spectrum, scoring a sample builds neither C C^T nor any N x N matrix
         n = 512
         C = _code(n, seed=1)
-        K = gram_kernel(C)
+        s = singular_values(C)
         f = decompose(C, sample_indices(n, 64, 0))
         tracemalloc.start()
         try:
-            approximation_errors(C, f, K)
+            approximation_errors(C, f, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+
+def _count_exact(monkeypatch) -> list:
+    """Record every exact blocked residual that approximation_errors computes."""
+    calls = []
+    real = nystrom._residual_norm
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(nystrom, "_residual_norm", spy)
+    return calls
+
+
+class TestTraceResiduals:
+    @pytest.mark.parametrize("n, c", [(96, 8), (96, 48), (160, 80), (2 * BLOCK_ROWS + 37, 64)])
+    def test_matches_exact_path(self, n, c, monkeypatch):
+        C = _code(n, seed=n)
+        s = singular_values(C)
+        calls = _count_exact(monkeypatch)
+        for seed in range(3):
+            f = decompose(C, sample_indices(n, c, seed))
+            trace = approximation_errors(C, f, s)
+            assert not calls
+            exact = approximation_errors(C, f)
+            calls.clear()
+            assert trace.code_err == pytest.approx(exact.code_err, rel=1e-10)
+            assert trace.kernel_err == pytest.approx(exact.kernel_err, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_near_singular_w_with_error_above_norm(self, seed, monkeypatch):
+        n = 160
+        C = _code(n, seed, gap=1e-4)
+        s = singular_values(C)
+        f = decompose(C, np.concatenate([[0, 1], 2 + sample_indices(n - 2, 62, seed)]))
+        calls = _count_exact(monkeypatch)
+        trace = approximation_errors(C, f, s)
+        assert not calls
+        exact = approximation_errors(C, f)
+        assert abs(f.eigvals[0] / f.eigvals[-1]) > 1e7
+        assert exact.code_err > np.linalg.norm(C.values)
+        assert trace.code_err == pytest.approx(exact.code_err, rel=1e-10)
+        assert trace.kernel_err == pytest.approx(exact.kernel_err, rel=1e-10)
+
+    def test_full_sample_uses_exact_path(self, monkeypatch):
+        n = 40
+        C = _code(n, seed=2)
+        K = gram_kernel(C)
+        calls = _count_exact(monkeypatch)
+        errs = approximation_errors(C, decompose(C, np.arange(n)), singular_values(C))
+        assert calls == [(n, n), (n, n)]
+        assert errs.code_err <= 1e-9 * np.linalg.norm(C.values)
+        assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
+
+    def test_low_rank_recovery_uses_exact_path(self, monkeypatch):
+        # exact recovery of rank-r PSD matrices from r spanning columns, as in criterion 1
+        rng = np.random.default_rng(2024)
+        calls = _count_exact(monkeypatch)
+        for r in (1, 2, 3, 4):
+            A = rng.standard_normal((32, r))
+            C = A @ A.T
+            C = (C + C.T) / 2.0
+            idx = _spanning_columns(C, r, r)
+            errs = approximation_errors(C, decompose(C, idx), singular_values(C))
+            K = C @ C
+            assert errs.code_err <= 1e-8 * np.linalg.norm(C)
+            assert errs.kernel_err <= 1e-7 * np.linalg.norm(K)
+        assert len(calls) == 8
+
+    def test_floor_applies_to_each_residual(self, monkeypatch):
+        # in the first sample the kernel residual is the relatively smaller one, in
+        # the second the code residual; a floor between the two falls back in both
+        n = 96
+        C = _code(n, seed=n)
+        s = singular_values(C)
+        calls = _count_exact(monkeypatch)
+        smaller = []
+        for seed in (0, 1):
+            f = decompose(C, sample_indices(n, 48, seed))
+            exact = approximation_errors(C, f)
+            ratios = {
+                "code": exact.code_err**2 / np.sum(s**2),
+                "kernel": exact.kernel_err**2 / np.sum(s**4),
+            }
+            lo, hi = sorted(ratios.values())
+            smaller.append(min(ratios, key=ratios.get))
+            for floor, fallback in [(0.99 * lo, False), (np.sqrt(lo * hi), True)]:
+                monkeypatch.setattr(nystrom, "TRACE_FLOOR", floor)
+                calls.clear()
+                approximation_errors(C, f, s)
+                assert bool(calls) == fallback
+        assert smaller == ["kernel", "code"]
+
+    def test_workload_shaped_cells_stay_above_floor(self):
+        C = _code(128, seed=7)
+        s = singular_values(C)
+        for c in (16, 32, 64):
+            exact = approximation_errors(C, decompose(C, sample_indices(128, c, 0)))
+            assert exact.code_err**2 > 100 * TRACE_FLOOR * np.sum(s**2)
+
+    def test_spectrum_length_checked(self):
+        C = _code(20, seed=0)
+        with pytest.raises(ValueError, match="singular values"):
+            approximation_errors(C, decompose(C, [0, 1]), np.ones(19))
