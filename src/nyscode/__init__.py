@@ -51,7 +51,7 @@ from .nystrom import (
     reconstruct_code,
     reconstruct_kernel,
 )
-from .pooling import PooledFeatures, pdl, pool
+from .pooling import pdl, pool
 from .spectra import SpectralReport, effective_rank, rank_k_residual, scaled_diag_max, spectral_report
 
 __version__ = "0.1.0"

@@ -86,6 +86,11 @@ class CodeMatrix:
         return self.values.shape[1]
 
 
+def _matrix(C) -> np.ndarray:
+    """The array behind a CodeMatrix, or any array-like as float."""
+    return C.values if isinstance(C, CodeMatrix) else np.asarray(C, dtype=float)
+
+
 def encode(X: DataMatrix, D: Dictionary, alpha: float) -> CodeMatrix:
     """Encode every column of X: entry (i, j) = max(0, <x_i, d_j> - alpha)."""
     if X.d != D.d:

@@ -85,10 +85,6 @@ class PatchGrid:
                 f"({self.images}x{self.grid_rows}x{self.grid_cols}={expected})"
             )
 
-    @property
-    def patches_per_image(self) -> int:
-        return self.grid_rows * self.grid_cols
-
 
 def synth_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int) -> DataMatrix:
     """Sample N points near a k-dimensional linear manifold in R^d.

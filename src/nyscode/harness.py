@@ -276,9 +276,9 @@ def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
     return C, spectral_report(C, energy=energy)
 
 
-def _spectral_summary(rep: SpectralReport, k_key: str) -> dict:
-    """The report's ``spectral`` entry for one code matrix; ``k_key`` names its rank."""
-    return {k_key: rep.k, "rank_k_residual": rep.rank_k_residual,
+def _spectral_summary(rep: SpectralReport) -> dict:
+    """The report's ``spectral`` entry for one code matrix."""
+    return {"k_effective": rep.k, "rank_k_residual": rep.rank_k_residual,
             "scaled_diag_max": rep.scaled_diag_max}
 
 
@@ -390,7 +390,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         config={**dataclasses.asdict(cfg), "lam_effective": lam},
         curve=points,
         models=models,
-        spectral={} if spec_rep is None else _spectral_summary(spec_rep, "k"),
+        spectral={} if spec_rep is None else _spectral_summary(spec_rep),
         warnings=warnings,
     )
 
@@ -437,8 +437,7 @@ def _pooled_features(
     patches: PatchGrid, D: Dictionary, alpha: float, regions: tuple[int, int], op: str
 ) -> CodeMatrix:
     codes = encode(patches.patches, D, alpha)
-    pooled = pool(codes, (patches.grid_rows, patches.grid_cols), regions, op)
-    return CodeMatrix(pooled.values, alpha)
+    return pool(codes, (patches.grid_rows, patches.grid_cols), regions, op)
 
 
 def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
@@ -512,7 +511,7 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         Xn = normalize_columns(X, cfg.normalize)
         _check_alpha(Xn, cfg.alpha)
         C, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
-        spectral[str(k)] = _spectral_summary(rep, "k_effective")
+        spectral[str(k)] = _spectral_summary(rep)
         for c in sorted(set(cfg.c_grid)):
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:

@@ -12,7 +12,7 @@ literal inverse because sampled blocks of thresholded code matrices are
 frequently singular; it reduces to the inverse when W is invertible.
 
 Eigenpairs. ``decompose`` requires W to equal its transpose exactly and takes
-one ``eigh`` of it. The eigenpairs with |lambda| above ``pinv_tol`` times the
+one ``eigh`` of it. The eigenpairs with |lambda| above ``PINV_TOL`` times the
 largest are kept in ``NystromFactors``, ordered by decreasing |lambda|, and
 W^+ = U diag(1/lambda) U^T is derived from them. Everything downstream works
 in that eigenbasis: with F = E U (N x r), H = F^T F and
@@ -42,9 +42,9 @@ passes the spectrum it already holds. They subtract terms of size sum sigma^2
 (sum sigma^4), so a residual near zero loses its digits to cancellation; the
 relative error of the returned norm was measured at about 2e-15 over the
 ratio of the squared residual to its scale. Below ``TRACE_FLOOR`` of that
-scale, and whenever no spectrum is given, the exact residuals are summed one
-row block at a time from the N x r factors F diag(1/lambda) and F Nm against
-C and K.
+scale, and whenever no spectrum is given, the residual norms are taken
+directly: ||C - F diag(1/lambda) F^T||_F and ||K - F Nm F^T||_F, with
+K = C C^T built for the call.
 """
 
 from __future__ import annotations
@@ -54,12 +54,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .coding import CodeMatrix, _sym_gram
+from .coding import _matrix, _sym_gram
 
-DEFAULT_PINV_TOL = 1e-10
-
-# rows per block of the exact residual norms: one BLOCK_ROWS x N buffer per call
-BLOCK_ROWS = 128
+# eigenvalues of W at or below this fraction of the largest magnitude are dropped
+PINV_TOL = 1e-10
 
 # a trace-form squared residual below this fraction of sum sigma^2 (code) or
 # sum sigma^4 (kernel) is recomputed exactly; above it the trace form is good
@@ -67,33 +65,20 @@ BLOCK_ROWS = 128
 TRACE_FLOOR = 1e-5
 
 
-def _matrix(C) -> np.ndarray:
-    return C.values if isinstance(C, CodeMatrix) else np.asarray(C, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class NystromFactors:
-    """Sampled columns E, the sampled square block W, and the eigenpairs of W
-    kept for its pseudo-inverse (W ~ eigvecs diag(eigvals) eigvecs^T)."""
+    """Sampled columns E and the eigenpairs of the sampled square block W kept
+    for its pseudo-inverse (W ~ eigvecs diag(eigvals) eigvecs^T)."""
 
     indices: np.ndarray
     E: np.ndarray
-    W: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    pinv_tol: float
-
-    def __post_init__(self):
-        if not np.array_equal(self.W, self.E[self.indices, :]):
-            raise ValueError("W must equal E restricted to the sampled rows")
 
     @property
-    def N(self) -> int:
-        return self.E.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.E.shape[1]
+    def W(self) -> np.ndarray:
+        """The sampled block C[indices, indices], E restricted to the sampled rows."""
+        return self.E[self.indices]
 
     @cached_property
     def W_pinv(self) -> np.ndarray:
@@ -101,12 +86,12 @@ class NystromFactors:
         return (self.eigvecs / self.eigvals) @ self.eigvecs.T
 
 
-def decompose(C, indices, pinv_tol: float = DEFAULT_PINV_TOL) -> NystromFactors:
+def decompose(C, indices) -> NystromFactors:
     """Slice the sampled factors out of a square symmetric matrix.
 
     ``indices`` must be distinct and within range, and the sampled block W
     must equal its transpose. The pseudo-inverse drops eigenvalues whose
-    magnitude is at most ``pinv_tol`` times the largest one.
+    magnitude is at most ``PINV_TOL`` times the largest one.
     """
     values = _matrix(C)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -125,10 +110,8 @@ def decompose(C, indices, pinv_tol: float = DEFAULT_PINV_TOL) -> NystromFactors:
     lam, U = np.linalg.eigh(W)
     mag = np.abs(lam)
     order = np.argsort(mag)[::-1]
-    kept = order[mag[order] > pinv_tol * mag[order[0]]]
-    return NystromFactors(
-        indices=idx, E=E, W=W, eigvals=lam[kept], eigvecs=U[:, kept], pinv_tol=pinv_tol
-    )
+    kept = order[mag[order] > PINV_TOL * mag[order[0]]]
+    return NystromFactors(indices=idx, E=E, eigvals=lam[kept], eigvecs=U[:, kept])
 
 
 def _eigen_factors(f: NystromFactors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -166,8 +149,7 @@ def approximation_errors(C, f: NystromFactors, s=None) -> ApproximationErrors:
     singular_values``). Given, the errors come from the trace forms of the
     module docstring, one N x r product C F per call, unless either squared
     error lies below ``TRACE_FLOOR`` of its scale. Otherwise, and without
-    ``s``, the exact residuals are summed over row blocks, with C C^T
-    computed here.
+    ``s``, the residual norms are taken directly, with C C^T computed here.
     """
     values = _matrix(C)
     F, inv, H, Nm = _eigen_factors(f)
@@ -184,19 +166,6 @@ def approximation_errors(C, f: NystromFactors, s=None) -> ApproximationErrors:
             return ApproximationErrors(
                 code_err=float(np.sqrt(code_sq)), kernel_err=float(np.sqrt(kernel_sq))
             )
-    code_err = _residual_norm(values, F * inv, F)
-    kernel_err = _residual_norm(_sym_gram(values), F @ Nm, F)
-    return ApproximationErrors(code_err=code_err, kernel_err=kernel_err)
-
-
-def _residual_norm(A: np.ndarray, L: np.ndarray, R: np.ndarray) -> float:
-    """||A - L R^T||_F, one block of BLOCK_ROWS rows at a time."""
-    buf = np.empty((min(BLOCK_ROWS, A.shape[0]), A.shape[1]))
-    sq = 0.0
-    for r0 in range(0, A.shape[0], BLOCK_ROWS):
-        block = buf[: min(BLOCK_ROWS, A.shape[0] - r0)]
-        np.matmul(L[r0 : r0 + BLOCK_ROWS], R.T, out=block)
-        np.subtract(A[r0 : r0 + BLOCK_ROWS], block, out=block)
-        flat = block.ravel()
-        sq += float(flat @ flat)
-    return float(np.sqrt(sq))
+    code_err = np.linalg.norm(values - (F * inv) @ F.T)
+    kernel_err = np.linalg.norm(_sym_gram(values) - F @ Nm @ F.T)
+    return ApproximationErrors(code_err=float(code_err), kernel_err=float(kernel_err))

@@ -10,8 +10,6 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coding import CodeMatrix, Dictionary, encode
@@ -21,35 +19,19 @@ from .dictionary import kcenters, kmeans
 POOL_OPS = ("average", "max")
 
 
-@dataclass(frozen=True, eq=False)
-class PooledFeatures:
-    """One row per image; columns grouped by pooling region, atom index fastest."""
-
-    values: np.ndarray
-    regions: int
-    op: str
-    n_atoms: int
-
-    def __post_init__(self):
-        if self.values.shape[1] != self.regions * self.n_atoms:
-            raise ValueError(
-                f"column count {self.values.shape[1]} != regions*atoms "
-                f"({self.regions}x{self.n_atoms})"
-            )
-
-
 def pool(
     codes: CodeMatrix,
     grid: tuple[int, int],
     regions: tuple[int, int],
     op: str = "average",
-) -> PooledFeatures:
+) -> CodeMatrix:
     """Pool patch codes over a region grid laid over each image's patch grid.
 
     ``codes`` rows must be ordered row-major within each image, images
     consecutive. Regions split the patch grid evenly; remainder rows/columns
-    go to the last region. Output columns are ordered region row-major with
-    the atom index varying fastest.
+    go to the last region. The result has one row per image and carries the
+    codes' ``alpha``; its columns are ordered region row-major with the atom
+    index varying fastest.
     """
     if op not in POOL_OPS:
         raise ValueError(f"op must be one of {POOL_OPS}, got {op!r}")
@@ -80,7 +62,7 @@ def pool(
                 pooled = block.max(axis=(1, 2))
             reg = ri * pc + rj
             out[:, reg * c : (reg + 1) * c] = pooled
-    return PooledFeatures(values=out, regions=pr * pc, op=op, n_atoms=c)
+    return CodeMatrix(out, codes.alpha)
 
 
 def _region_edges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -124,7 +106,7 @@ def pdl(
 
     # one row per atom: its pooled response at every (image, region) coordinate
     atom_profiles = (
-        pooled.values.reshape(pooled.values.shape[0], pooled.regions, big_c)
+        pooled.values.reshape(pooled.N, regions[0] * regions[1], big_c)
         .transpose(2, 0, 1)
         .reshape(big_c, -1)
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nystrom import _matrix
+from .coding import _matrix
 
 
 @dataclass(frozen=True, eq=False)

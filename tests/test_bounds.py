@@ -12,6 +12,8 @@ from nyscode.bounds import (
     fit_two_point,
     predict,
 )
+from nyscode.coding import full_code
+from nyscode.data import DataMatrix, normalize_columns
 from nyscode.spectra import SpectralReport, spectral_report
 
 
@@ -56,6 +58,31 @@ class TestEvalBound:
         rep = spectral_report(C, k=2)
         expected = rep.rank_k_residual + epsilon_min(8, 2) * rep.scaled_diag_max
         assert eval_eq1_bound(rep, 8) == expected
+
+
+class TestBoundVacuity:
+    """Cauchy-Schwarz gives |<x_i, x_j>| <= max_i ||x_i||^2, so every entry of
+    C = max(0, X^T X - alpha) is at most max_i C_ii whenever alpha is below the
+    largest squared column norm. Hence ||C||_F <= N max_i C_ii, and for
+    c <= 64k, where (64k/c)^(1/4) >= 1, the eq. 1 bound is no smaller than
+    ||C||_F, the error of the trivial reconstruction C_hat = 0."""
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "raw"])
+    @pytest.mark.parametrize("alpha_frac", [-0.5, 0.0, 0.3, 0.9])
+    def test_bound_is_vacuous_up_to_64k(self, unit, alpha_frac):
+        rng = np.random.default_rng(0)
+        X = DataMatrix(rng.standard_normal((12, 60)) * rng.uniform(0.2, 3.0, size=60))
+        if unit:
+            X = normalize_columns(X, "unit_l2")
+        alpha = alpha_frac * float(np.max(np.sum(X.values**2, axis=0)))
+        C = full_code(X, alpha).values
+        assert np.max(C) <= np.max(np.diag(C))
+        rep = spectral_report(C)
+        fro = np.linalg.norm(C)
+        assert fro <= rep.scaled_diag_max
+        assert rep.k >= 1
+        for c in range(1, 64 * rep.k + 1):
+            assert eval_eq1_bound(rep, c) >= fro
 
 
 class TestFitTwoPoint:

@@ -336,6 +336,12 @@ class TestEmit:
             assert float(fields[5]) == point.code_err
             assert float(fields[7]) == point.bound_eq1
 
+    def test_spectral_keys_shared_by_curve_and_nystrom_eval(self):
+        curve = run_curve(CurveConfig(**SMALL_CURVE)).to_dict()["spectral"]
+        nys = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM)).to_dict()["spectral"]
+        assert set(curve) == {"k_effective", "rank_k_residual", "scaled_diag_max"}
+        assert [set(entry) for entry in nys.values()] == [set(curve)]
+
     def test_unknown_format_rejected(self, tmp_path):
         rep = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nyscode.coding import CodeMatrix
+from nyscode import pooling
+from nyscode.coding import CodeMatrix, encode
 from nyscode.data import DataMatrix, PatchGrid
 from nyscode.dictionary import kmeans
-from nyscode.pooling import PooledFeatures, pdl, pool
+from nyscode.pooling import pdl, pool
 
 
 def _codes(values):
@@ -45,8 +46,10 @@ class TestPool:
     def test_matches_nested_loop_oracle(self, op):
         rng = np.random.default_rng(1)
         values = rng.random((2 * 16, 5))  # 2 images on a 4x4 patch grid
-        out = pool(_codes(values), grid=(4, 4), regions=(2, 2), op=op)
+        out = pool(CodeMatrix(values, alpha=0.3), grid=(4, 4), regions=(2, 2), op=op)
         expected = _pool_oracle(values, 2, 4, 4, 2, 2, op)
+        assert isinstance(out, CodeMatrix)
+        assert out.alpha == 0.3
         assert np.array_equal(out.values, expected)
 
     @pytest.mark.parametrize("op", ["average", "max"])
@@ -79,10 +82,6 @@ class TestPool:
     def test_unknown_op(self):
         with pytest.raises(ValueError):
             pool(_codes(np.ones((4, 2))), grid=(2, 2), regions=(1, 1), op="median")
-
-    def test_column_count_invariant(self):
-        with pytest.raises(ValueError):
-            PooledFeatures(values=np.ones((2, 5)), regions=2, op="average", n_atoms=3)
 
 
 def _texture_patch_grid(seed, images=24, gr=2, gc=2, dim=8):
@@ -141,3 +140,24 @@ class TestPdl:
         grid = _texture_patch_grid(4)
         with pytest.raises(ValueError):
             pdl(grid, final_c=4, overshoot=0, alpha=0.25, seed=0)
+
+    def test_atom_profiles_hold_each_atoms_pooled_responses(self, monkeypatch):
+        # K-centers sees one row per atom: its pooled response at (image, region)
+        grid = _texture_patch_grid(5, images=6, gr=4, gc=4)
+        seen = []
+        real = pooling.kcenters
+
+        def spy(F, *args):
+            seen.append(F)
+            return real(F, *args)
+
+        monkeypatch.setattr(pooling, "kcenters", spy)
+        pdl(grid, final_c=2, overshoot=3, alpha=0.25, regions=(2, 2), kmeans_iters=5, seed=1)
+        km = kmeans(grid.patches, 6, 5, seed=1, normalize_atoms=True)
+        pooled = pool(encode(grid.patches, km.dictionary, 0.25), (4, 4), (2, 2)).values
+        expected = np.empty((6, 6 * 4))
+        for atom in range(6):
+            for img in range(6):
+                for reg in range(4):
+                    expected[atom, img * 4 + reg] = pooled[img, reg * 6 + atom]
+        assert np.array_equal(seen[0], expected)
