@@ -47,8 +47,8 @@ _CONFIG_COMMANDS = {
 }
 
 
-def _common_flags(p: argparse.ArgumentParser, seed_help: str, seed_default=None) -> None:
-    p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
+def _common_flags(p: argparse.ArgumentParser, seed_help: str) -> None:
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
 
 
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset as CSV")
-    _common_flags(p_synth, "data seed", 0)
+    _common_flags(p_synth, "data seed")
     p_synth.add_argument("--d", type=int, default=32)
     p_synth.add_argument("--k", type=int, default=4)
     p_synth.add_argument("--n", type=int, default=800)
@@ -72,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (help_text, _, _) in _CONFIG_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _common_flags(p, "override the data seed")
+        p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     p_enc = sub.add_parser("encode", help="encode a CSV dataset against a sampled dictionary")
-    _common_flags(p_enc, "dictionary sampling seed", 0)
+    _common_flags(p_enc, "dictionary sampling seed")
     p_enc.add_argument("--data", type=str, required=True, help="input CSV, one sample per row")
     p_enc.add_argument("--labels", action="store_true", help="last CSV field is a label")
     p_enc.add_argument("--header", action="store_true", help="skip one header line")
@@ -87,20 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
+def _load_config(args):
+    """The parsed JSON of ``--config``; ``from_dict`` checks that it is an object."""
     if args.config is None:
         raise ValueError("this subcommand requires --config <file.json>")
     try:
-        raw = Path(args.config).read_text()
-    except OSError as e:
-        raise ValueError(f"cannot read config {args.config}: {e}") from e
-    try:
-        cfg = json.loads(raw)
+        return json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"config {args.config} is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {args.config} must be a JSON object")
-    return cfg
 
 
 def _cmd_synth(args) -> None:
@@ -122,10 +116,7 @@ def _cmd_synth(args) -> None:
 
 def _cmd_config(args) -> None:
     _, config_cls, runner = _CONFIG_COMMANDS[args.command]
-    raw = _load_config(args)
-    if args.seed is not None:
-        raw["data_seed"] = args.seed
-    emit(runner(config_cls.from_dict(raw)), args.out, args.format)
+    emit(runner(config_cls.from_dict(_load_config(args))), args.out, args.format)
 
 
 def _cmd_encode(args) -> None:
@@ -156,7 +147,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, TypeError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARGUMENT
     return EXIT_OK

@@ -224,11 +224,7 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
-    start = 0
-    if header:
-        if not lines:
-            raise FormatError(f"{path}: empty file")
-        start = 1
+    start = 1 if header else 0
     rows = []
     raw_labels = []
     n_fields = None
@@ -252,11 +248,12 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
                 ) from None
         else:
             feature_fields = fields
-        try:
-            row = [float(f) for f in feature_fields]
-        except ValueError:
-            bad = next(f for f in feature_fields if not _is_float(f))
-            raise FormatError(f"{path}: line {lineno}: non-numeric field {bad!r}") from None
+        row = []
+        for f in feature_fields:
+            try:
+                row.append(float(f))
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: non-numeric field {f!r}") from None
         if not all(np.isfinite(row)):
             raise FormatError(f"{path}: line {lineno}: non-finite value")
         rows.append(row)
@@ -277,22 +274,14 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
     return LabeledDataset(DataMatrix(values), np.zeros(values.shape[1], dtype=int), 1)
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
-def save_csv(dataset: LabeledDataset, path, with_labels: bool = True) -> None:
-    """Write a dataset as one sample per row, 17 significant digits per value."""
+def save_csv(dataset: LabeledDataset, path) -> None:
+    """Write a dataset as one sample per row, 17 significant digits per value,
+    then the label when the dataset has more than one class."""
     out = []
     values = dataset.data.values
-    include = with_labels and dataset.n_classes > 1
     for i in range(dataset.data.N):
         fields = [format(v, ".17g") for v in values[:, i]]
-        if include:
+        if dataset.n_classes > 1:
             fields.append(str(int(dataset.labels[i])))
         out.append(",".join(fields))
     Path(path).write_text("\n".join(out) + "\n")

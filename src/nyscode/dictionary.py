@@ -50,9 +50,15 @@ class KMeansResult:
 
     dictionary: Dictionary
     centroids: np.ndarray
-    objective: float
-    iterations: int
     history: list[float]
+
+    @property
+    def objective(self) -> float:
+        return self.history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 def kmeans(
@@ -88,7 +94,6 @@ def kmeans(
 
     prev_assign = None
     history: list[float] = []
-    iterations = 0
     every_row = np.arange(X.N)
     pts_rows = np.ascontiguousarray(pts)  # row gathers from a row-major copy are cheap
     sums = np.empty_like(centroids)
@@ -107,12 +112,10 @@ def kmeans(
         centroids[filled] = sums[filled] / counts[filled, None]  # what .mean(axis=0) does
         if not filled.all():
             centroids = _relocate_empty(pts, centroids, assign)
-        iterations += 1
         d2 = _sq_dists(pts, centroids, pts_sq)
         assign = np.argmin(d2, axis=1)  # ties resolve to the lowest centroid index
         history.append(float(d2[every_row, assign].sum()))  # the row minima
 
-    objective = history[-1]
     atoms = centroids.T.copy()
     if normalize_atoms:
         norms = np.linalg.norm(atoms, axis=0)
@@ -120,8 +123,6 @@ def kmeans(
     return KMeansResult(
         dictionary=Dictionary(atoms, source="kmeans"),
         centroids=centroids.T.copy(),
-        objective=objective,
-        iterations=iterations,
         history=history,
     )
 

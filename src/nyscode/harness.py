@@ -270,12 +270,6 @@ def _check_alpha(X: DataMatrix, alpha: float) -> None:
         )
 
 
-def _code_and_spectrum(X: DataMatrix, alpha: float, energy: float):
-    """The full code matrix C of X and its spectral report."""
-    C = full_code(X, alpha)
-    return C, spectral_report(C, energy=energy)
-
-
 def _spectral_summary(rep: SpectralReport) -> dict:
     """The report's ``spectral`` entry for one code matrix."""
     return {"k_effective": rep.k, "rank_k_residual": rep.rank_k_residual,
@@ -344,7 +338,8 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     diagnostics = n_train <= cfg.nystrom_limit
     C_full = spec_rep = None
     if diagnostics:
-        C_full, spec_rep = _code_and_spectrum(Xtr, cfg.alpha, cfg.energy)
+        C_full = full_code(Xtr, cfg.alpha)
+        spec_rep = spectral_report(C_full, energy=cfg.energy)
 
     points: list[CurvePoint] = []
     for c in kept:
@@ -504,13 +499,17 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     """Measure how often the evaluated bound covers the observed code error."""
     if not cfg.c_grid or not cfg.seeds or not cfg.k_list:
         raise ValueError("c_grid, seeds, and k_list must be non-empty")
+    for c in cfg.c_grid:
+        if not 1 <= c <= cfg.n_samples:
+            raise ValueError(f"need 1 <= c <= N, got c={c}, N={cfg.n_samples}")
     cells: list[NystromCell] = []
     spectral = {}
     for k in sorted(set(cfg.k_list)):
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
         _check_alpha(Xn, cfg.alpha)
-        C, rep = _code_and_spectrum(Xn, cfg.alpha, cfg.energy)
+        C = full_code(Xn, cfg.alpha)
+        rep = spectral_report(C, energy=cfg.energy)
         spectral[str(k)] = _spectral_summary(rep)
         for c in sorted(set(cfg.c_grid)):
             bound = bounds.eval_eq1_bound(rep, c)
@@ -561,9 +560,6 @@ _CSV_TABLES = {
         ("k", "c", "seed", "code_err", "kernel_err", "bound_eq1", "within_bound"),
     ),
 }
-CURVE_CSV_HEADER, PDL_CSV_HEADER, NYSTROM_CSV_HEADER = (
-    ",".join(columns) for _, columns in _CSV_TABLES.values()
-)
 
 
 def report_csv(report: ExperimentReport) -> str:

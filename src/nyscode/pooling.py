@@ -81,11 +81,10 @@ def pdl(
     pool_op: str = "average",
     kmeans_iters: int = 50,
     seed: int = 0,
-    normalize_atoms: bool = True,
 ) -> Dictionary:
     """Pooling-aware dictionary: overshoot with K-means, prune with K-centers.
 
-    Learns ``overshoot * final_c`` atoms, encodes and pools the training
+    Learns ``overshoot * final_c`` unit-norm atoms, encodes and pools the training
     patches, represents every atom by its pooled-response vector over the
     training images, and keeps the ``final_c`` atoms selected by greedy
     farthest-first traversal over those vectors. Selected atoms are returned
@@ -100,7 +99,7 @@ def pdl(
         raise ValueError(
             f"need overshoot*final_c <= patch count, got {big_c} > {patches.patches.N}"
         )
-    km = kmeans(patches.patches, big_c, kmeans_iters, seed, normalize_atoms=normalize_atoms)
+    km = kmeans(patches.patches, big_c, kmeans_iters, seed, normalize_atoms=True)
     codes = encode(patches.patches, km.dictionary, alpha)
     pooled = pool(codes, (patches.grid_rows, patches.grid_cols), regions, pool_op)
 

@@ -58,6 +58,7 @@ class TestSynthCommand:
             ["synth", "--config", "cfg.json", "--out", "x.csv"],
             ["encode", "--data", "x.csv", "--c", "2", "--format", "csv"],
             ["encode", "--data", "x.csv", "--c", "2", "--config", "cfg.json"],
+            ["curve", "--config", "cfg.json", "--seed", "1", "--out", "x.csv"],
         ],
     )
     def test_config_flags_not_accepted(self, tmp_path, monkeypatch, capsys, argv):
@@ -157,6 +158,21 @@ class TestNystromEvalCommand:
         assert report["kind"] == "nystrom_eval"
         assert 0.0 <= report["coverage"] <= 1.0
 
+    @pytest.mark.parametrize("bad_c", [0, 10**400], ids=["zero", "400-digit"])
+    def test_c_outside_sample_count_exits_2(self, tmp_path, capsys, bad_c):
+        # rejected by the config check, before the bound or the sampler sees it
+        cfg = _write_config(tmp_path, {"c_grid": [8, bad_c], "seeds": [0], "k_list": [2],
+                                       "n_samples": 64})
+        assert cli.main(["nystrom-eval", "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert f"need 1 <= c <= N, got c={bad_c}, N=64" in capsys.readouterr().err
+
+    def test_c_at_both_ends_of_range_runs(self, tmp_path):
+        cfg = _write_config(tmp_path, {"c_grid": [1, 64], "seeds": [0], "k_list": [2],
+                                       "d": 10, "n_samples": 64})
+        out = tmp_path / "nys.json"
+        assert cli.main(["nystrom-eval", "--config", cfg, "--out", str(out)]) == 0
+        assert [cell["c"] for cell in json.loads(out.read_text())["cells"]] == [1, 64]
+
 
 class TestEncodeCommand:
     def test_encodes_csv_dataset(self, tmp_path):
@@ -215,9 +231,8 @@ class TestDispatch:
         monkeypatch.setattr(cli, runner, spy)
         monkeypatch.setattr(cli, "emit", lambda report, path, fmt: emitted.append(report))
         cfg = _write_config(tmp_path, payload)
-        assert cli.main([command, "--config", cfg, "--seed", "7"]) == 0
+        assert cli.main([command, "--config", cfg]) == 0
         assert len(calls) == 1
-        assert calls[0].data_seed == 7
         assert emitted == [sentinel]
 
 
@@ -228,6 +243,16 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "curve", boom)
         assert cli.main(["curve"]) == cli.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("exc", [KeyError, TypeError])
+    def test_programming_error_propagates(self, monkeypatch, exc):
+        # no config or data path raises these, so they are bugs, not exit-2 config errors
+        def boom(args):
+            raise exc("x")
+
+        monkeypatch.setitem(cli._COMMANDS, "curve", boom)
+        with pytest.raises(exc):
+            cli.main(["curve"])
 
     def test_stdout_output_when_no_out(self, tmp_path, capsys):
         cfg = _write_config(

@@ -235,6 +235,12 @@ class TestLoadCsv:
         with pytest.raises(FormatError, match="line 2"):
             load_csv(p, has_labels=False)
 
+    def test_non_numeric_names_first_bad_field(self, tmp_path):
+        p = tmp_path / "e2.csv"
+        p.write_text("1,2,3\n1,x,y\n")
+        with pytest.raises(FormatError, match="line 2: non-numeric field 'x'$"):
+            load_csv(p, has_labels=False)
+
     def test_non_integer_label(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("1,2,zero\n")
@@ -246,6 +252,13 @@ class TestLoadCsv:
         p.write_text("")
         with pytest.raises(FormatError, match="empty"):
             load_csv(p, has_labels=False)
+
+    @pytest.mark.parametrize("text", ["", "f1,f2\n"])
+    def test_empty_file_with_header(self, tmp_path, text):
+        p = tmp_path / "g2.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="empty file"):
+            load_csv(p, has_labels=False, header=True)
 
     def test_non_finite_value_names_line(self, tmp_path):
         p = tmp_path / "nf.csv"
