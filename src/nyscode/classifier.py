@@ -19,7 +19,6 @@ from .coding import CodeMatrix
 class LinearModel:
     weights: np.ndarray  # (c, L)
     bias: np.ndarray  # (L,)
-    lam: float
 
 
 def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -> LinearModel:
@@ -45,7 +44,7 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
     gram = F.T @ F + reg
     targets = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
     solution = np.linalg.solve(gram, F.T @ targets)
-    return LinearModel(weights=solution[:-1, :], bias=solution[-1, :], lam=lam)
+    return LinearModel(weights=solution[:-1, :], bias=solution[-1, :])
 
 
 def predict(model: LinearModel, C: CodeMatrix) -> np.ndarray:

@@ -122,7 +122,7 @@ def _cmd_config(args) -> None:
 def _cmd_encode(args) -> None:
     ds = load_csv(args.data, has_labels=args.labels, header=args.header)
     idx = sample_indices(ds.data.N, args.c, args.seed)
-    D = Dictionary(ds.data.values[:, idx], source="sampled", indices=idx)
+    D = Dictionary(ds.data.values[:, idx])
     codes = encode(ds.data, D, args.alpha)
     lines = [",".join(format(v, ".17g") for v in row) for row in codes.values]
     write_text("\n".join(lines) + "\n", args.out)

@@ -8,13 +8,11 @@ kernel every subsampled dictionary approximates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataMatrix
-
-DICTIONARY_SOURCES = ("sampled", "kmeans", "kcenters")
 
 # sensible threshold for unit-norm columns; every config exposes its own alpha
 DEFAULT_ALPHA = 0.25
@@ -22,32 +20,15 @@ DEFAULT_ALPHA = 0.25
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """A d x c codebook plus provenance.
-
-    ``indices`` records which training columns (source="sampled") or which
-    atoms of the overshoot dictionary (source="kcenters") were selected; it is
-    None for learned (kmeans) atoms.
-    """
+    """A d x c codebook, one atom per column."""
 
     atoms: np.ndarray
-    source: str
-    indices: np.ndarray | None = None
 
     def __post_init__(self):
         if self.atoms.ndim != 2 or self.atoms.shape[1] < 1:
             raise ValueError(f"atoms must be a d x c matrix with c >= 1, got {self.atoms.shape}")
         if not np.all(np.isfinite(self.atoms)):
             raise ValueError("dictionary atoms contain NaN or Inf")
-        if self.source not in DICTIONARY_SOURCES:
-            raise ValueError(f"source must be one of {DICTIONARY_SOURCES}, got {self.source!r}")
-        if self.source in ("sampled", "kcenters"):
-            idx = self.indices
-            if idx is None:
-                raise ValueError(f"source={self.source!r} requires selection indices")
-            if len(idx) != self.atoms.shape[1]:
-                raise ValueError("one selection index per atom required")
-            if len(np.unique(idx)) != len(idx) or (len(idx) and min(idx) < 0):
-                raise ValueError("selection indices must be distinct and non-negative")
 
     @property
     def d(self) -> int:
@@ -63,7 +44,6 @@ class CodeMatrix:
     """An N x c matrix of encoded samples, one row per sample; entries >= 0."""
 
     values: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -100,7 +80,7 @@ def encode(X: DataMatrix, D: Dictionary, alpha: float) -> CodeMatrix:
     G = G.astype(np.result_type(G, alpha), copy=False)
     G -= alpha
     np.maximum(0.0, G, out=G)
-    return CodeMatrix(G, alpha)
+    return CodeMatrix(G)
 
 
 def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
@@ -114,7 +94,7 @@ def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
     # glibc malloc's dynamic mmap/trim thresholds lower, so the later per-cell
     # buffers of nystrom-eval are page-faulted in afresh on every cell
     gram = _sym_gram(X.values.T)
-    return CodeMatrix(np.maximum(0.0, gram - alpha), alpha)
+    return CodeMatrix(np.maximum(0.0, gram - alpha))
 
 
 def gram_kernel(C: CodeMatrix) -> np.ndarray:

@@ -6,7 +6,7 @@ with one sample per column. Loaders transpose row-per-sample files on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ class DataMatrix:
     """A d x N matrix of N samples in d dimensions, one column per sample."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = self.values
@@ -49,7 +48,6 @@ class LabeledDataset:
     data: DataMatrix
     labels: np.ndarray
     n_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.labels.shape != (self.data.N,):
@@ -86,6 +84,11 @@ class PatchGrid:
             )
 
 
+def _check_noise(noise: float) -> None:
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
+
+
 def synth_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int) -> DataMatrix:
     """Sample N points near a k-dimensional linear manifold in R^d.
 
@@ -95,8 +98,7 @@ def synth_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int) -> Dat
     """
     if not (1 <= k <= min(d, N)):
         raise ValueError(f"need 1 <= k <= min(d, N), got d={d}, k={k}, N={N}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    _check_noise(noise_sigma)
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
     latent = rng.standard_normal((k, N))
@@ -130,6 +132,7 @@ def synth_labeled_manifold(
         raise ValueError(f"need 1 <= k <= min(d, N), got d={d}, k={k}, N={N}")
     if modes_per_class < 1:
         raise ValueError("modes_per_class must be >= 1")
+    _check_noise(noise_sigma)
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
     centers = rng.standard_normal((classes, modes_per_class, k))
@@ -193,32 +196,25 @@ def normalize_columns(X: DataMatrix, mode: str) -> DataMatrix:
     """Normalize each column: subtract its mean, scale it to unit norm, or both.
 
     Zero columns (including columns that become zero after centering) pass
-    through unchanged; their count is reported in the result's
-    ``meta["zero_columns"]``.
+    through unchanged.
     """
     if mode not in _NORMALIZE_MODES:
         raise ValueError(f"mode must be one of {_NORMALIZE_MODES}, got {mode!r}")
     values = X.values.astype(float, copy=True)
     if mode in ("mean_center", "both"):
         values -= values.mean(axis=0, keepdims=True)
-    zero_cols = 0
     if mode in ("unit_l2", "both"):
         norms = np.linalg.norm(values, axis=0)
-        zero = norms == 0.0
-        zero_cols = int(zero.sum())
-        norms[zero] = 1.0
+        norms[norms == 0.0] = 1.0
         values /= norms
-    else:
-        zero_cols = int(np.sum(np.all(values == 0.0, axis=0)))
-    return DataMatrix(values, meta={"zero_columns": zero_cols})
+    return DataMatrix(values)
 
 
 def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
     """Load a comma-separated file with one sample per row.
 
     When ``has_labels`` the last field of each row is an integer class label;
-    labels are remapped to contiguous ids 0..L-1 preserving numeric order, with
-    the original values kept in ``meta["original_labels"]``.
+    labels are remapped to contiguous ids 0..L-1 preserving numeric order.
     """
     text = Path(path).read_text()
     lines = text.split("\n")
@@ -262,15 +258,8 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
 
     values = np.array(rows, dtype=float).T
     if has_labels:
-        original = np.array(raw_labels)
-        uniq = np.unique(original)
-        labels = np.searchsorted(uniq, original)
-        return LabeledDataset(
-            DataMatrix(values),
-            labels,
-            n_classes=len(uniq),
-            meta={"original_labels": uniq.tolist()},
-        )
+        uniq, labels = np.unique(raw_labels, return_inverse=True)
+        return LabeledDataset(DataMatrix(values), labels, n_classes=len(uniq))
     return LabeledDataset(DataMatrix(values), np.zeros(values.shape[1], dtype=int), 1)
 
 

@@ -42,8 +42,8 @@ class KMeansResult:
     """Lloyd's algorithm output.
 
     ``centroids`` are the raw cluster means (d x c); ``dictionary`` holds the
-    atoms actually used for encoding, which equal the centroids unless atom
-    normalization was requested. ``history`` records the objective (sum of
+    atoms used for encoding, the centroids scaled to unit norm (a zero-norm
+    centroid is left unscaled). ``history`` records the objective (sum of
     squared point-to-nearest-centroid distances) after each completed
     iteration.
     """
@@ -61,20 +61,14 @@ class KMeansResult:
         return len(self.history)
 
 
-def kmeans(
-    X: DataMatrix,
-    c: int,
-    max_iters: int,
-    seed: int,
-    normalize_atoms: bool = False,
-) -> KMeansResult:
+def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
     """Cluster the columns of X into c centroids (k-means++ init, Lloyd updates).
 
     Stops when assignments are unchanged or after ``max_iters`` iterations.
     A cluster that loses all members is re-seeded at the point currently
     farthest from its nearest centroid, so the result always has c atoms.
-    With ``normalize_atoms`` the returned dictionary's atoms are scaled to
-    unit norm (zero-norm centroids are left unscaled); ``centroids`` stay raw.
+    The dictionary's atoms are the centroids scaled to unit norm (zero-norm
+    centroids are left unscaled); ``centroids`` stay raw.
 
     The result is bit-identical to the plain algorithm described in the
     module docstring. One Lloyd step costs one N x c distance matrix (an
@@ -116,13 +110,11 @@ def kmeans(
         assign = np.argmin(d2, axis=1)  # ties resolve to the lowest centroid index
         history.append(float(d2[every_row, assign].sum()))  # the row minima
 
-    atoms = centroids.T.copy()
-    if normalize_atoms:
-        norms = np.linalg.norm(atoms, axis=0)
-        atoms = atoms / np.where(norms == 0.0, 1.0, norms)
+    centroids = centroids.T.copy()
+    norms = np.linalg.norm(centroids, axis=0)
     return KMeansResult(
-        dictionary=Dictionary(atoms, source="kmeans"),
-        centroids=centroids.T.copy(),
+        dictionary=Dictionary(centroids / np.where(norms == 0.0, 1.0, norms)),
+        centroids=centroids,
         history=history,
     )
 

@@ -26,6 +26,7 @@ from .data import (
     DataMatrix,
     LabeledDataset,
     PatchGrid,
+    _check_noise,
     extract_patches_stack,
     load_csv,
     normalize_columns,
@@ -252,8 +253,7 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
         ds = load_csv(cfg.path, has_labels=True)
     else:
         raise ValueError(f"dataset must be 'synth' or 'csv', got {cfg.dataset!r}")
-    normalized = normalize_columns(ds.data, cfg.normalize)
-    return LabeledDataset(normalized, ds.labels, ds.n_classes, meta=ds.meta)
+    return LabeledDataset(normalize_columns(ds.data, cfg.normalize), ds.labels, ds.n_classes)
 
 
 def _check_alpha(X: DataMatrix, alpha: float) -> None:
@@ -347,10 +347,10 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         for seed in cfg.seeds:
             if cfg.dict_source == "sampled":
                 idx = sample_indices(n_train, c, seed)
-                D = Dictionary(Xtr.values[:, idx], source="sampled", indices=idx)
+                D = Dictionary(Xtr.values[:, idx])
             else:
                 idx = None
-                D = kmeans(Xtr, c, cfg.kmeans_iters, seed, normalize_atoms=True).dictionary
+                D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
             ctr = encode(Xtr, D, cfg.alpha)
             cte = encode(Xte, D, cfg.alpha)
             scores.append(_fit_score(ctr, ytr, cte, yte, dataset.n_classes, lam))
@@ -409,6 +409,7 @@ def synth_texture_images(
         raise ValueError(f"image size {size} must be a multiple of cell size {cell}")
     if classes < 2 or images_per_class < 1 or prototypes_per_class < 1:
         raise ValueError("need classes >= 2, images_per_class >= 1, prototypes_per_class >= 1")
+    _check_noise(noise)
     rng = np.random.default_rng(seed)
     protos = rng.standard_normal((classes, prototypes_per_class, cell, cell))
     slots = size // cell

@@ -29,9 +29,8 @@ def pool(
 
     ``codes`` rows must be ordered row-major within each image, images
     consecutive. Regions split the patch grid evenly; remainder rows/columns
-    go to the last region. The result has one row per image and carries the
-    codes' ``alpha``; its columns are ordered region row-major with the atom
-    index varying fastest.
+    go to the last region. The result has one row per image; its columns are
+    ordered region row-major with the atom index varying fastest.
     """
     if op not in POOL_OPS:
         raise ValueError(f"op must be one of {POOL_OPS}, got {op!r}")
@@ -62,7 +61,7 @@ def pool(
                 pooled = block.max(axis=(1, 2))
             reg = ri * pc + rj
             out[:, reg * c : (reg + 1) * c] = pooled
-    return CodeMatrix(out, codes.alpha)
+    return CodeMatrix(out)
 
 
 def _region_edges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -99,7 +98,7 @@ def pdl(
         raise ValueError(
             f"need overshoot*final_c <= patch count, got {big_c} > {patches.patches.N}"
         )
-    km = kmeans(patches.patches, big_c, kmeans_iters, seed, normalize_atoms=True)
+    km = kmeans(patches.patches, big_c, kmeans_iters, seed)
     codes = encode(patches.patches, km.dictionary, alpha)
     pooled = pool(codes, (patches.grid_rows, patches.grid_cols), regions, pool_op)
 
@@ -110,8 +109,4 @@ def pdl(
         .reshape(big_c, -1)
     )
     selected = kcenters(atom_profiles, final_c, seed)
-    return Dictionary(
-        atoms=km.dictionary.atoms[:, selected],
-        source="kcenters",
-        indices=np.asarray(selected),
-    )
+    return Dictionary(km.dictionary.atoms[:, selected])

@@ -81,13 +81,12 @@ def effective_rank(C, energy: float = 0.95) -> int:
     return _energy_rank(singular_values(C), energy)
 
 
-def spectral_report(C, k: int | None = None, energy: float = 0.95) -> SpectralReport:
-    """Assemble the bound inputs for C; k defaults to the effective rank at ``energy``."""
+def spectral_report(C, energy: float = 0.95) -> SpectralReport:
+    """Assemble the bound inputs for C, with k the effective rank at ``energy``."""
     values = _matrix(C)
     diag_term = scaled_diag_max(values)
     s = singular_values(values)
-    if k is None:
-        k = _energy_rank(s, energy)
+    k = _energy_rank(s, energy)
     return SpectralReport(
         k=k,
         rank_k_residual=_tail_norm(s, k),

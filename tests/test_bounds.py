@@ -55,7 +55,8 @@ class TestEvalBound:
 
     def test_from_real_spectral_report(self):
         C = np.diag([4.0, 2.0, 1.0, 0.5])
-        rep = spectral_report(C, k=2)
+        rep = spectral_report(C, energy=0.9)
+        assert rep.k == 2
         expected = rep.rank_k_residual + epsilon_min(8, 2) * rep.scaled_diag_max
         assert eval_eq1_bound(rep, 8) == expected
 

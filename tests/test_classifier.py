@@ -6,7 +6,7 @@ from nyscode.coding import CodeMatrix
 
 
 def _codes(values):
-    return CodeMatrix(np.asarray(values, dtype=float), alpha=0.0)
+    return CodeMatrix(np.asarray(values, dtype=float))
 
 
 def _separable_problem(seed, n=20, c=4):
@@ -96,18 +96,18 @@ class TestTrainRidge:
 
 class TestPredict:
     def test_identity_weights_on_one_hot(self):
-        model = LinearModel(weights=np.eye(3), bias=np.zeros(3), lam=1.0)
+        model = LinearModel(weights=np.eye(3), bias=np.zeros(3))
         C = _codes(np.eye(3)[[2, 0, 1]])
         assert np.array_equal(predict(model, C), [2, 0, 1])
 
     def test_zero_weights_tie_break_to_class_zero(self):
-        model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(3), lam=1.0)
+        model = LinearModel(weights=np.zeros((4, 3)), bias=np.zeros(3))
         C = _codes(np.abs(np.random.default_rng(4).standard_normal((5, 4))))
         assert np.array_equal(predict(model, C), np.zeros(5, dtype=int))
 
     def test_scores_match_loop_oracle(self):
         rng = np.random.default_rng(5)
-        model = LinearModel(weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(4), lam=1.0)
+        model = LinearModel(weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
         C = _codes(np.abs(rng.standard_normal((6, 3))))
         got = scores(model, C)
         for i in range(6):
@@ -118,13 +118,13 @@ class TestPredict:
 
     def test_argmax_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(6)
-        model = LinearModel(weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(4), lam=1.0)
-        scaled = LinearModel(weights=3.5 * model.weights, bias=3.5 * model.bias, lam=1.0)
+        model = LinearModel(weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
+        scaled = LinearModel(weights=3.5 * model.weights, bias=3.5 * model.bias)
         C = _codes(np.abs(rng.standard_normal((10, 3))))
         assert np.array_equal(predict(model, C), predict(scaled, C))
 
     def test_dimension_mismatch(self):
-        model = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(2), lam=1.0)
+        model = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(2))
         with pytest.raises(ValueError):
             predict(model, _codes(np.ones((2, 3))))
 

@@ -264,6 +264,24 @@ class TestExitCodes:
         assert out.startswith("k,c,seed,")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--config", {"c_grid": [4, 8, 16], "seeds": [0], "n_samples": 100,
+                                   "noise": -1.0}],
+            ["pdl", "--config", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
+                                 "noise": -1.0}],
+            ["synth", "--noise", "-1", "--out", "x.csv"],
+        ],
+        ids=["curve", "pdl", "synth"],
+    )
+    def test_negative_noise_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_ARGUMENT
+        assert "noise must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
         "command, payload",
         [
             ("curve", dict(CURVE_CFG, energy=1.5)),

@@ -85,11 +85,19 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
 
     def test_atom_normalization_flag(self):
+        # the dictionary's atoms are the centroids scaled to unit norm
         X = DataMatrix(np.random.default_rng(2).standard_normal((4, 30)) + 5.0)
-        res = kmeans(X, c=3, max_iters=20, seed=0, normalize_atoms=True)
+        res = kmeans(X, c=3, max_iters=20, seed=0)
+        norms = np.linalg.norm(res.centroids, axis=0)
         assert np.allclose(np.linalg.norm(res.dictionary.atoms, axis=0), 1.0)
+        assert np.array_equal(res.dictionary.atoms, res.centroids / norms)
         # raw centroids stay unnormalized
-        assert not np.allclose(np.linalg.norm(res.centroids, axis=0), 1.0)
+        assert not np.allclose(norms, 1.0)
+
+    def test_zero_norm_centroid_left_unscaled(self):
+        res = kmeans(DataMatrix(np.array([[0.0, 0.0, 0.0, 5.0, 5.0]])), c=2, max_iters=10, seed=0)
+        assert sorted(res.centroids[0]) == [0.0, 5.0]
+        assert sorted(res.dictionary.atoms[0]) == [0.0, 1.0]
 
     def test_duplicate_points_keep_atom_count(self):
         # more clusters than distinct values: relocation policy keeps c atoms
@@ -263,7 +271,7 @@ class TestKMeansBitIdentity:
         make, cs = BIT_IDENTITY_CASES[name]
         X = DataMatrix(make())
         for c, seed in itertools.product(cs, (0, 1, 2)):
-            res = kmeans(X, c, max_iters=20, seed=seed, normalize_atoms=True)
+            res = kmeans(X, c, max_iters=20, seed=seed)
             centroids, atoms, history = _plain_kmeans(X, c, 20, seed)
             assert res.centroids.tobytes() == centroids.tobytes()
             assert res.dictionary.atoms.tobytes() == atoms.tobytes()

@@ -56,7 +56,7 @@ class TestDecompose:
         assert np.abs(f.W_pinv - f.W_pinv.T).max() <= 1e-10 * scale
 
     def test_accepts_code_matrix(self):
-        C = CodeMatrix(np.ones((3, 3)), alpha=0.0)
+        C = CodeMatrix(np.ones((3, 3)))
         f = decompose(C, [1])
         assert f.E.shape == (3, 1)
 

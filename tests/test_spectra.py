@@ -101,7 +101,7 @@ class TestEffectiveRank:
 class TestSpectralReport:
     def test_matches_component_functions(self):
         C = np.random.default_rng(6).standard_normal((7, 7))
-        rep = spectral_report(C, k=3)
+        rep = spectral_report(C, energy=0.7)
         assert rep.k == 3
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 3), rel=1e-12)
         assert rep.scaled_diag_max == scaled_diag_max(C)
@@ -115,7 +115,8 @@ class TestSpectralReport:
 
     def test_residual_invariant_definition(self):
         C = np.random.default_rng(7).standard_normal((5, 5))
-        rep = spectral_report(C, k=2)
+        rep = spectral_report(C, energy=0.6)
+        assert rep.k == 2
         tail = np.sqrt(np.sum(rep.singular_values[2:] ** 2))
         assert rep.rank_k_residual == pytest.approx(tail, rel=1e-10)
 
