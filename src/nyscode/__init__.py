@@ -29,6 +29,7 @@ from .data import (
     save_csv,
     synth_labeled_manifold,
     synth_manifold,
+    synth_texture_images,
 )
 from .dictionary import KMeansResult, covering_radius, kcenters, kmeans, sample_indices
 from .harness import (
@@ -41,7 +42,6 @@ from .harness import (
     run_curve,
     run_nystrom_eval,
     run_pdl_compare,
-    synth_texture_images,
 )
 from .nystrom import (
     ApproximationErrors,

@@ -32,23 +32,15 @@ class SaturationModel:
     ``form="error"`` uses the plus sign (value decays toward ``offset``);
     ``form="accuracy"`` uses the minus sign (value rises toward ``offset``).
     ``flagged`` marks an accuracy fit whose slope came out negative, i.e. the
-    two observations do not show saturation from below.
+    two observations do not show saturation from below. The field order is the
+    key order of a model in the JSON report.
     """
 
+    form: str
     offset: float
     slope: float
-    form: str
     fit_points: tuple[FitPoint, FitPoint]
     flagged: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "form": self.form,
-            "offset": self.offset,
-            "slope": self.slope,
-            "fit_points": [list(p) for p in self.fit_points],
-            "flagged": self.flagged,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SaturationModel":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import DEFAULT_ALPHA, Dictionary, encode
-from .data import FormatError, load_csv, save_csv, synth_labeled_manifold
+from .data import FormatError, csv_text, load_csv, save_csv, synth_labeled_manifold
 from .dictionary import sample_indices
 from .harness import (
     CurveConfig,
@@ -124,8 +124,7 @@ def _cmd_encode(args) -> None:
     idx = sample_indices(ds.data.N, args.c, args.seed)
     D = Dictionary(ds.data.values[:, idx])
     codes = encode(ds.data, D, args.alpha)
-    lines = [",".join(format(v, ".17g") for v in row) for row in codes.values]
-    write_text("\n".join(lines) + "\n", args.out)
+    write_text(csv_text(codes.values.tolist()), args.out)
 
 
 _COMMANDS = {

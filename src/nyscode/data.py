@@ -1,4 +1,5 @@
-"""Dataset construction: synthetic generators, patch extraction, normalization, loaders.
+"""Dataset construction: synthetic generators, patch extraction, normalization, loaders,
+and the one CSV renderer of the program's tables.
 
 All data lives in column-per-sample orientation: a matrix has shape (d, N)
 with one sample per column. Loaders transpose row-per-sample files on read.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal, get_args
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -147,6 +149,39 @@ def synth_labeled_manifold(
     return LabeledDataset(DataMatrix(values), labels, classes)
 
 
+def synth_texture_images(
+    images_per_class: int,
+    classes: int,
+    size: int,
+    cell: int,
+    prototypes_per_class: int,
+    noise: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tile images from class-specific prototype patches plus pixel noise.
+
+    Every class owns ``prototypes_per_class`` random cell x cell patterns;
+    an image tiles each cell slot with a randomly chosen prototype of its
+    class. Returns (images, labels) with images shaped (n, size, size).
+    """
+    if size % cell != 0:
+        raise ValueError(f"image size {size} must be a multiple of cell size {cell}")
+    if classes < 2 or images_per_class < 1 or prototypes_per_class < 1:
+        raise ValueError("need classes >= 2, images_per_class >= 1, prototypes_per_class >= 1")
+    _check_noise(noise)
+    rng = np.random.default_rng(seed)
+    protos = rng.standard_normal((classes, prototypes_per_class, cell, cell))
+    slots = size // cell
+    n = classes * images_per_class
+    labels = np.arange(n) % classes
+    # one draw for every image: the same stream as one (slots, slots) draw per image
+    picks = rng.integers(prototypes_per_class, size=(n, slots, slots))
+    tiles = protos[labels[:, None, None], picks]  # (n, slots, slots, cell, cell)
+    images = tiles.transpose(0, 1, 3, 2, 4).reshape(n, size, size)
+    images += noise * rng.standard_normal(images.shape)
+    return images, labels
+
+
 def extract_patches(image: np.ndarray, patch: int, stride: int) -> PatchGrid:
     """Cut a single image into flattened square patches.
 
@@ -189,7 +224,7 @@ def _patch_grid(images: np.ndarray, patch: int, stride: int) -> PatchGrid:
     return PatchGrid(DataMatrix(cols), grid_rows, grid_cols, images=n)
 
 
-_NORMALIZE_MODES = ("mean_center", "unit_l2", "both")
+NormalizeMode = Literal["mean_center", "unit_l2", "both"]
 
 
 def normalize_columns(X: DataMatrix, mode: str) -> DataMatrix:
@@ -198,8 +233,8 @@ def normalize_columns(X: DataMatrix, mode: str) -> DataMatrix:
     Zero columns (including columns that become zero after centering) pass
     through unchanged.
     """
-    if mode not in _NORMALIZE_MODES:
-        raise ValueError(f"mode must be one of {_NORMALIZE_MODES}, got {mode!r}")
+    if mode not in get_args(NormalizeMode):
+        raise ValueError(f"mode must be one of {get_args(NormalizeMode)}, got {mode!r}")
     values = X.values.astype(float, copy=True)
     if mode in ("mean_center", "both"):
         values -= values.mean(axis=0, keepdims=True)
@@ -264,16 +299,26 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
-    """Write a dataset as one sample per row, 17 significant digits per value,
-    then the label when the dataset has more than one class."""
-    out = []
-    values = dataset.data.values
-    for i in range(dataset.data.N):
-        fields = [format(v, ".17g") for v in values[:, i]]
-        if dataset.n_classes > 1:
-            fields.append(str(int(dataset.labels[i])))
-        out.append(",".join(fields))
-    Path(path).write_text("\n".join(out) + "\n")
+    """Write a dataset as one sample per row in ``csv_text`` format, then the label
+    when the dataset has more than one class."""
+    rows = dataset.data.values.T.tolist()
+    if dataset.n_classes > 1:
+        rows = [row + [label] for row, label in zip(rows, dataset.labels.tolist())]
+    Path(path).write_text(csv_text(rows))
+
+
+def csv_text(rows) -> str:
+    """One comma-separated line per row: None empty, booleans 0/1, integers as integers,
+    and other values as floats with 17 significant digits, which read back bit for bit."""
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+
+
+def _csv_field(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer, np.bool_)):  # bool is an int: 0/1
+        return str(int(x))
+    return format(float(x), ".17g")
 
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 channel-major 32x32 pixel planes

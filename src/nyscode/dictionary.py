@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import Dictionary
-from .data import DataMatrix
+from .data import DataMatrix, normalize_columns
 
 BLOCK_ROWS = 512  # rows of the N x c distance matrix finished per cache-sized block
 
@@ -67,8 +67,7 @@ def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
     Stops when assignments are unchanged or after ``max_iters`` iterations.
     A cluster that loses all members is re-seeded at the point currently
     farthest from its nearest centroid, so the result always has c atoms.
-    The dictionary's atoms are the centroids scaled to unit norm (zero-norm
-    centroids are left unscaled); ``centroids`` stay raw.
+    The atoms are ``normalize_columns`` of the centroids in "unit_l2" mode.
 
     The result is bit-identical to the plain algorithm described in the
     module docstring. One Lloyd step costs one N x c distance matrix (an
@@ -105,15 +104,14 @@ def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]  # what .mean(axis=0) does
         if not filled.all():
-            centroids = _relocate_empty(pts, centroids, assign)
+            centroids = _relocate_empty(pts, pts_sq, centroids, assign)
         d2 = _sq_dists(pts, centroids, pts_sq)
         assign = np.argmin(d2, axis=1)  # ties resolve to the lowest centroid index
         history.append(float(d2[every_row, assign].sum()))  # the row minima
 
     centroids = centroids.T.copy()
-    norms = np.linalg.norm(centroids, axis=0)
     return KMeansResult(
-        dictionary=Dictionary(centroids / np.where(norms == 0.0, 1.0, norms)),
+        dictionary=Dictionary(normalize_columns(DataMatrix(centroids), "unit_l2").values),
         centroids=centroids,
         history=history,
     )
@@ -143,11 +141,13 @@ def _kmeanspp_init(
     return centers
 
 
-def _relocate_empty(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
+def _relocate_empty(
+    pts: np.ndarray, pts_sq: np.ndarray, centroids: np.ndarray, assign: np.ndarray
+) -> np.ndarray:
     empty = np.setdiff1d(np.arange(centroids.shape[0]), assign)
     if empty.size == 0:
         return centroids
-    d2 = _sq_dists(pts, centroids).min(axis=1)
+    d2 = _sq_dists(pts, centroids, pts_sq).min(axis=1)
     for j in empty:
         far = int(np.argmax(d2))
         centroids[j] = pts[far]
@@ -155,9 +155,7 @@ def _relocate_empty(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray) 
     return centroids
 
 
-def _sq_dists(
-    pts: np.ndarray, centers: np.ndarray, pts_sq: np.ndarray | None = None
-) -> np.ndarray:
+def _sq_dists(pts: np.ndarray, centers: np.ndarray, pts_sq: np.ndarray) -> np.ndarray:
     """``max((‖p‖² − 2 p·c) + ‖c‖², 0)`` for every row pair, built in one buffer.
 
     Scaling by −2 is exact, so ``pts @ (−2 centers)ᵀ`` is ``−(2 pts @ centersᵀ)``
@@ -165,8 +163,6 @@ def _sq_dists(
     subtracting ``2 pts @ centersᵀ`` from ``‖p‖²``. The additions run over
     row blocks that stay in cache.
     """
-    if pts_sq is None:
-        pts_sq = (pts**2).sum(axis=1)
     d2 = pts @ (-2.0 * centers).T
     c_sq = (centers**2).sum(axis=1)
     for start in range(0, d2.shape[0], BLOCK_ROWS):

@@ -25,17 +25,19 @@ from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code
 from .data import (
     DataMatrix,
     LabeledDataset,
+    NormalizeMode,
     PatchGrid,
-    _check_noise,
+    csv_text,
     extract_patches_stack,
     load_csv,
     normalize_columns,
     synth_labeled_manifold,
     synth_manifold,
+    synth_texture_images,
 )
 from .dictionary import kmeans, sample_indices
 from .nystrom import approximation_errors, decompose
-from .pooling import pool, pdl
+from .pooling import PoolOp, check_regions, pool, pdl
 from .spectra import SpectralReport, check_energy, spectral_report
 
 
@@ -44,6 +46,8 @@ def _fits(value, hint) -> bool:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
+    if origin is typing.Literal:
+        return value in args
     if origin is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if origin is tuple:
@@ -60,12 +64,22 @@ def _fits(value, hint) -> bool:
 
 
 class _Config:
-    """Base of the config dataclasses: construction from a flat JSON object."""
+    """Base of the config dataclasses: a type check on every build, and JSON parsing."""
+
+    def __post_init__(self):
+        """Reject a value that does not fit its field's type; a list becomes a tuple."""
+        for key, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, key)
+            if not _fits(value, hint):
+                expected = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+            if typing.get_origin(hint) is tuple:
+                setattr(self, key, tuple(value))
 
     @classmethod
     def from_dict(cls, d: dict):
-        """Build a config from a flat dict; unknown keys, missing keys and mistyped values
-        are errors. A list given for a tuple-typed field becomes a tuple."""
+        """Build a config from a flat dict; unknown and missing keys are errors, and
+        ``__post_init__`` checks the values."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         fields = dataclasses.fields(cls)
@@ -79,15 +93,7 @@ class _Config:
         )
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
-        hints = typing.get_type_hints(cls)
-        for key, value in d.items():
-            if not _fits(value, hints[key]):
-                expected = hints[key].__name__ if isinstance(hints[key], type) else str(hints[key])
-                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-        return cls(**{
-            key: tuple(value) if typing.get_origin(hints[key]) is tuple else value
-            for key, value in d.items()
-        })
+        return cls(**d)
 
 
 @dataclass
@@ -96,7 +102,7 @@ class CurveConfig(_Config):
 
     c_grid: list[int]
     seeds: list[int]
-    dataset: str = "synth"  # "synth" or "csv"
+    dataset: typing.Literal["synth", "csv"] = "synth"
     path: str | None = None  # dataset file when dataset="csv"
     d: int = 32
     k: int = 4
@@ -110,9 +116,9 @@ class CurveConfig(_Config):
     alpha: float = DEFAULT_ALPHA
     lam: float | None = None  # ridge coefficient; default 1e-3 * n_train
     energy: float = 0.95
-    dict_source: str = "sampled"  # "sampled" or "kmeans"
+    dict_source: typing.Literal["sampled", "kmeans"] = "sampled"
     kmeans_iters: int = 50
-    normalize: str = "unit_l2"
+    normalize: NormalizeMode = "unit_l2"
     split_fraction: float = 0.8
     split_seed: int = 0
     nystrom_limit: int = 2000
@@ -136,9 +142,9 @@ class PdlConfig(_Config):
     alpha: float = DEFAULT_ALPHA
     lam: float | None = None
     regions: tuple[int, int] = (2, 2)
-    pool_op: str = "average"
+    pool_op: PoolOp = "average"
     kmeans_iters: int = 30
-    normalize: str = "unit_l2"
+    normalize: NormalizeMode = "unit_l2"
     split_fraction: float = 0.8
     split_seed: int = 0
 
@@ -156,7 +162,7 @@ class NystromEvalConfig(_Config):
     data_seed: int = 0
     alpha: float = DEFAULT_ALPHA
     energy: float = 0.95
-    normalize: str = "unit_l2"
+    normalize: NormalizeMode = "unit_l2"
 
 
 @dataclass
@@ -220,11 +226,6 @@ class ExperimentReport:
     warnings: list[str] = field(default_factory=list)
     created_at: str = field(default_factory=_now)
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["models"] = {name: m.to_dict() for name, m in self.models.items()}
-        return d
-
 
 def _split(N: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     if not (0.0 < fraction < 1.0):
@@ -247,12 +248,10 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
             within=cfg.within,
             modes_per_class=cfg.modes_per_class,
         )
-    elif cfg.dataset == "csv":
-        if cfg.path is None:
-            raise ValueError("dataset='csv' requires a path")
-        ds = load_csv(cfg.path, has_labels=True)
+    elif cfg.path is None:
+        raise ValueError("dataset='csv' requires a path")
     else:
-        raise ValueError(f"dataset must be 'synth' or 'csv', got {cfg.dataset!r}")
+        ds = load_csv(cfg.path, has_labels=True)
     return LabeledDataset(normalize_columns(ds.data, cfg.normalize), ds.labels, ds.n_classes)
 
 
@@ -310,16 +309,16 @@ _FITS = (
 def run_curve(cfg: CurveConfig) -> ExperimentReport:
     """Sweep codebook sizes: encode, classify, measure reconstruction errors,
     fit saturation models on the two smallest sizes, and predict the rest."""
-    dataset = _curve_dataset(cfg)
-    grid = sorted(set(int(c) for c in cfg.c_grid))
+    grid = sorted(set(cfg.c_grid))
     if len(grid) < 3:
         raise ValueError(f"c grid needs at least 3 distinct values, got {grid}")
+    if grid[0] < 1:
+        raise ValueError(f"c_grid values must be >= 1, got {grid[0]}")
     if not cfg.seeds:
         raise ValueError("seeds must be non-empty")
-    if cfg.dict_source not in ("sampled", "kmeans"):
-        raise ValueError(f"dict_source must be 'sampled' or 'kmeans', got {cfg.dict_source!r}")
     check_energy(cfg.energy)
 
+    dataset = _curve_dataset(cfg)
     train_idx, test_idx = _split(dataset.data.N, cfg.split_fraction, cfg.split_seed)
     X = dataset.data.values
     Xtr = DataMatrix(X[:, train_idx])
@@ -390,39 +389,6 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     )
 
 
-def synth_texture_images(
-    images_per_class: int,
-    classes: int,
-    size: int,
-    cell: int,
-    prototypes_per_class: int,
-    noise: float,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tile images from class-specific prototype patches plus pixel noise.
-
-    Every class owns ``prototypes_per_class`` random cell x cell patterns;
-    an image tiles each cell slot with a randomly chosen prototype of its
-    class. Returns (images, labels) with images shaped (n, size, size).
-    """
-    if size % cell != 0:
-        raise ValueError(f"image size {size} must be a multiple of cell size {cell}")
-    if classes < 2 or images_per_class < 1 or prototypes_per_class < 1:
-        raise ValueError("need classes >= 2, images_per_class >= 1, prototypes_per_class >= 1")
-    _check_noise(noise)
-    rng = np.random.default_rng(seed)
-    protos = rng.standard_normal((classes, prototypes_per_class, cell, cell))
-    slots = size // cell
-    n = classes * images_per_class
-    labels = np.arange(n) % classes
-    # one draw for every image: the same stream as one (slots, slots) draw per image
-    picks = rng.integers(prototypes_per_class, size=(n, slots, slots))
-    tiles = protos[labels[:, None, None], picks]  # (n, slots, slots, cell, cell)
-    images = tiles.transpose(0, 1, 3, 2, 4).reshape(n, size, size)
-    images += noise * rng.standard_normal(images.shape)
-    return images, labels
-
-
 def _normalized_patches(images: np.ndarray, cfg: PdlConfig) -> PatchGrid:
     """The patch grid of an image stack, its patches normalized."""
     grid = extract_patches_stack(images, cfg.patch, cfg.stride)
@@ -438,10 +404,13 @@ def _pooled_features(
 
 def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
     """Compare pruned overshoot dictionaries against the overshoot=1 baseline."""
-    final_cs = sorted(set(int(c) for c in cfg.final_c_grid))
-    overshoots = sorted(set(int(o) for o in cfg.overshoots))
+    final_cs = sorted(set(cfg.final_c_grid))
+    overshoots = sorted(set(cfg.overshoots))
     if not final_cs or not overshoots or not cfg.seeds:
         raise ValueError("final_c_grid, overshoots, and seeds must be non-empty")
+    for key, values in (("final_c_grid", final_cs), ("overshoots", overshoots)):
+        if values[0] < 1:
+            raise ValueError(f"{key} values must be >= 1, got {values[0]}")
     if overshoots[0] != 1:
         raise ValueError("overshoots must include 1 (the baseline)")
 
@@ -457,6 +426,9 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
     train_idx, test_idx = _split(len(images), cfg.split_fraction, cfg.split_seed)
     grid_tr = _normalized_patches(images[train_idx], cfg)
     grid_te = _normalized_patches(images[test_idx], cfg)
+    check_regions((grid_tr.grid_rows, grid_tr.grid_cols), cfg.regions)
+    if final_cs[-1] * overshoots[-1] > grid_tr.patches.N:
+        raise ValueError(f"final_c_grid x overshoots exceeds the {grid_tr.patches.N} patches")
     ytr = labels[train_idx]
     yte = labels[test_idx]
     lam = cfg.lam if cfg.lam is not None else 1e-3 * len(train_idx)
@@ -492,7 +464,7 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
                 )
             )
 
-    config = {**dataclasses.asdict(cfg), "regions": list(cfg.regions), "lam_effective": lam}
+    config = {**dataclasses.asdict(cfg), "lam_effective": lam}
     return ExperimentReport(kind="pdl", config=config, pdl_rows=rows)
 
 
@@ -538,16 +510,6 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 # report kind -> (row list attribute, CSV columns); each column is a row field
 _CSV_TABLES = {
     "curve": (
@@ -568,10 +530,8 @@ def report_csv(report: ExperimentReport) -> str:
     if report.kind not in _CSV_TABLES:
         raise ValueError(f"unknown report kind {report.kind!r}")
     attr, columns = _CSV_TABLES[report.kind]
-    lines = [",".join(columns)]
-    for row in getattr(report, attr):
-        lines.append(",".join(_fmt(getattr(row, name)) for name in columns))
-    return "\n".join(lines) + "\n"
+    rows = [[getattr(row, name) for name in columns] for row in getattr(report, attr)]
+    return ",".join(columns) + "\n" + csv_text(rows)
 
 
 def emit(report: ExperimentReport, path, fmt: str = "json") -> None:
@@ -580,7 +540,7 @@ def emit(report: ExperimentReport, path, fmt: str = "json") -> None:
     ``path=None`` writes to standard output.
     """
     if fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
+        text = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     elif fmt == "csv":
         text = report_csv(report)
     else:

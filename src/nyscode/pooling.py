@@ -10,13 +10,15 @@ size.
 
 from __future__ import annotations
 
+from typing import Literal, get_args
+
 import numpy as np
 
 from .coding import CodeMatrix, Dictionary, encode
 from .data import PatchGrid
 from .dictionary import kcenters, kmeans
 
-POOL_OPS = ("average", "max")
+PoolOp = Literal["average", "max"]
 
 
 def pool(
@@ -32,14 +34,11 @@ def pool(
     go to the last region. The result has one row per image; its columns are
     ordered region row-major with the atom index varying fastest.
     """
-    if op not in POOL_OPS:
-        raise ValueError(f"op must be one of {POOL_OPS}, got {op!r}")
+    if op not in get_args(PoolOp):
+        raise ValueError(f"op must be one of {get_args(PoolOp)}, got {op!r}")
+    check_regions(grid, regions)
     gr, gc = grid
     pr, pc = regions
-    if gr < 1 or gc < 1:
-        raise ValueError(f"patch grid must be positive, got {grid}")
-    if not (1 <= pr <= gr and 1 <= pc <= gc):
-        raise ValueError(f"region grid {regions} does not fit patch grid {grid}")
     per_image = gr * gc
     if codes.N % per_image != 0:
         raise ValueError(f"code rows {codes.N} not a multiple of patches per image {per_image}")
@@ -62,6 +61,14 @@ def pool(
             reg = ri * pc + rj
             out[:, reg * c : (reg + 1) * c] = pooled
     return CodeMatrix(out)
+
+
+def check_regions(grid: tuple[int, int], regions: tuple[int, int]) -> None:
+    """Reject a region grid that does not split the patch grid into non-empty regions."""
+    if grid[0] < 1 or grid[1] < 1:
+        raise ValueError(f"patch grid must be positive, got {grid}")
+    if not (1 <= regions[0] <= grid[0] and 1 <= regions[1] <= grid[1]):
+        raise ValueError(f"regions {regions} do not fit the patch grid {grid}")
 
 
 def _region_edges(n: int, parts: int) -> list[tuple[int, int]]:

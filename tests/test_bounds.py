@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -132,11 +133,15 @@ class TestFitTwoPoint:
 
 class TestPredict:
     def test_reproduces_fit_point(self):
-        m = SaturationModel(1.0, 4.0, ERROR_FORM, ((16.0, 3.0), (256.0, 2.0)))
+        m = SaturationModel(
+            form=ERROR_FORM, offset=1.0, slope=4.0, fit_points=((16.0, 3.0), (256.0, 2.0))
+        )
         assert predict(m, 16) == 3.0
 
     def test_fourth_root_arithmetic(self):
-        m = SaturationModel(1.0, 4.0, ERROR_FORM, ((16.0, 3.0), (256.0, 2.0)))
+        m = SaturationModel(
+            form=ERROR_FORM, offset=1.0, slope=4.0, fit_points=((16.0, 3.0), (256.0, 2.0))
+        )
         assert predict(m, 4096) == pytest.approx(1.5, abs=1e-12)
 
     def test_accuracy_asymptote(self):
@@ -144,17 +149,23 @@ class TestPredict:
         assert abs(predict(m, 10**12) - 0.9) < 1e-2
 
     def test_monotone_error_form(self):
-        m = SaturationModel(0.5, 2.0, ERROR_FORM, ((2.0, 0.0), (4.0, 0.0)))
+        m = SaturationModel(
+            form=ERROR_FORM, offset=0.5, slope=2.0, fit_points=((2.0, 0.0), (4.0, 0.0))
+        )
         vals = [predict(m, 2**i) for i in range(1, 16)]
         assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
 
     def test_monotone_accuracy_form(self):
-        m = SaturationModel(0.9, 0.8, ACCURACY_FORM, ((2.0, 0.0), (4.0, 0.0)))
+        m = SaturationModel(
+            form=ACCURACY_FORM, offset=0.9, slope=0.8, fit_points=((2.0, 0.0), (4.0, 0.0))
+        )
         vals = [predict(m, 2**i) for i in range(1, 16)]
         assert all(vals[i + 1] > vals[i] for i in range(len(vals) - 1))
 
     def test_invalid_c(self):
-        m = SaturationModel(1.0, 1.0, ERROR_FORM, ((2.0, 0.0), (4.0, 0.0)))
+        m = SaturationModel(
+            form=ERROR_FORM, offset=1.0, slope=1.0, fit_points=((2.0, 0.0), (4.0, 0.0))
+        )
         with pytest.raises(ValueError):
             predict(m, 0)
 
@@ -162,11 +173,11 @@ class TestPredict:
 class TestSerialization:
     def test_json_round_trip(self):
         m = fit_two_point((8, 0.55), (16, 0.62), ACCURACY_FORM)
-        d = json.loads(json.dumps(m.to_dict()))
+        d = json.loads(json.dumps(dataclasses.asdict(m)))
         back = SaturationModel.from_dict(d)
         assert back == m
 
     def test_dict_fields(self):
         m = fit_two_point((8, 1.0), (16, 0.5), ERROR_FORM)
-        d = m.to_dict()
+        d = dataclasses.asdict(m)
         assert set(d) == {"form", "offset", "slope", "fit_points", "flagged"}

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nyscode import cli
+from nyscode import cli, harness, pooling
 from nyscode.data import load_csv
 
 
@@ -144,6 +144,47 @@ class TestPdlCommand:
         report = json.loads(out.read_text())
         assert report["kind"] == "pdl"
         assert len(report["pdl_rows"]) == 2
+
+
+class TestConfigRejectedBeforeWork:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        # the first fit or data generator each runner reaches
+        calls = []
+        for module, name in [(harness, "full_code"), (harness, "pdl"), (harness, "kmeans"),
+                             (pooling, "kmeans"), (harness, "synth_labeled_manifold"),
+                             (harness, "synth_manifold")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k)
+            )
+        return calls
+
+    # 240 training images of 4 patches each: 960 patches
+    PDL = {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0, 1, 2, 3, 4]}
+
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            ("curve", dict(CURVE_CFG, c_grid=[0, 16, 32]), "c_grid"),
+            ("pdl", dict(PDL, overshoots=[1, 300]), "overshoots"),
+            ("pdl", dict(PDL, final_c_grid=[0, 4]), "final_c_grid"),
+            ("pdl", dict(PDL, regions=[9, 9]), "regions"),
+            ("pdl", dict(PDL, overshoots=[0, 1, 4]), "overshoots values must be >= 1"),
+            ("pdl", dict(PDL, pool_op="maximum"), "pool_op"),
+            ("curve", dict(CURVE_CFG, dict_source="kmean"), "dict_source"),
+            ("curve", dict(CURVE_CFG, dataset="pickle"), "dataset"),
+            ("nystrom-eval", {"c_grid": [4], "seeds": [0], "normalize": "l2"}, "normalize"),
+        ],
+        ids=["c_grid-zero", "overshoot-too-large", "final_c-zero", "regions-too-large",
+             "overshoot-zero", "pool_op", "dict_source", "dataset", "normalize"],
+    )
+    def test_exits_2_naming_key_before_any_fit(self, tmp_path, capsys, spies, command,
+                                                 payload, named):
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert named in capsys.readouterr().err
+        assert spies == []
 
 
 class TestNystromEvalCommand:

@@ -7,6 +7,7 @@ from nyscode.data import (
     DataMatrix,
     FormatError,
     LabeledDataset,
+    csv_text,
     extract_patches,
     extract_patches_stack,
     load_cifar10_binary,
@@ -15,8 +16,8 @@ from nyscode.data import (
     save_csv,
     synth_labeled_manifold,
     synth_manifold,
+    synth_texture_images,
 )
-from nyscode.harness import synth_texture_images
 
 
 class TestDataMatrix:
@@ -297,6 +298,25 @@ class TestLoadCsv:
         back = load_csv(p, has_labels=True)
         assert np.array_equal(back.data.values, values)
         assert np.array_equal(back.labels, ds.labels)
+
+
+class TestCsvText:
+    def test_field_rules(self):
+        rows = [
+            [None, True, np.bool_(False), np.int64(7), 0.1],
+            [3, np.float64(np.pi), -0.0, 1e-300, None],
+        ]
+        assert csv_text(rows) == (
+            ",1,0,7,0.10000000000000001\n3,3.1415926535897931,-0,1e-300,\n"
+        )
+
+    def test_float_array_label_column_reads_as_integers(self):
+        # labels held as floats print like ints: .17g drops a zero fraction
+        values = np.column_stack([[0.5, -2.25], np.array([1.0, 0.0])])
+        assert csv_text(values) == "0.5,1\n-2.25,0\n"
+
+    def test_no_rows(self):
+        assert csv_text([]) == ""
 
 
 class TestLoadCifar10Binary:

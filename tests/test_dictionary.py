@@ -110,7 +110,7 @@ class TestKMeans:
         pts = np.array([[0.0, 0.0], [1.0, 0.1], [10.0, 0.0]])
         centroids = np.array([[0.0, 0.0], [0.5, 0.0], [99.0, 99.0]])
         assign = np.array([0, 1, 1])  # centroid 2 is empty; point 2 is farthest
-        out = _relocate_empty(pts, centroids.copy(), assign)
+        out = _relocate_empty(pts, (pts**2).sum(axis=1), centroids.copy(), assign)
         assert np.array_equal(out[2], pts[2])
 
     @pytest.mark.parametrize("c,iters", [(0, 5), (10, 5), (2, 0)])

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from nyscode import coding, nystrom
+from nyscode.bounds import SaturationModel
 from nyscode.harness import (
     CurveConfig,
     ExperimentReport,
@@ -67,7 +69,7 @@ class TestConfigParsing:
         assert cfg.regions == (1, 2)
         assert isinstance(cfg.regions, tuple)
         rep = run_pdl_compare(cfg)
-        assert json.loads(json.dumps(rep.to_dict()))["config"]["regions"] == [1, 2]
+        assert json.loads(json.dumps(dataclasses.asdict(rep)))["config"]["regions"] == [1, 2]
 
     def test_report_created_at_defaults_to_utc_now(self):
         assert ExperimentReport(kind="pdl", config={}).created_at.endswith("+00:00")
@@ -87,6 +89,12 @@ class TestConfigParsing:
             (CurveConfig, "split_seed", True),
             (PdlConfig, "regions", [2, 2, 2]),
             (PdlConfig, "pool_op", None),
+            (PdlConfig, "pool_op", "maximum"),
+            (CurveConfig, "dataset", "pickle"),
+            (CurveConfig, "dict_source", "kmean"),
+            (CurveConfig, "normalize", "l2"),
+            (PdlConfig, "normalize", "unit"),
+            (NystromEvalConfig, "normalize", None),
             (NystromEvalConfig, "k_list", 2),
             (CurveConfig, "lam", float("nan")),
             (CurveConfig, "alpha", float("nan")),
@@ -102,6 +110,13 @@ class TestConfigParsing:
         }[cls]
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
             cls.from_dict({**required, key: value})
+
+    def test_direct_construction_checked(self):
+        # the check runs in __post_init__, so a config built in Python is checked too
+        with pytest.raises(ValueError, match="config key 'dict_source' must be"):
+            CurveConfig(c_grid=[4, 8, 16], seeds=[0], dict_source="kmean")
+        cfg = PdlConfig(final_c_grid=[4], overshoots=[1], seeds=[0], regions=[1, 2])
+        assert cfg.regions == (1, 2)
 
 
 class TestRunCurve:
@@ -299,7 +314,20 @@ class TestEmit:
         rep = run_curve(CurveConfig(**SMALL_CURVE))
         p = tmp_path / "report.json"
         emit(rep, p, "json")
-        assert json.loads(p.read_text()) == rep.to_dict()
+        doc, expected = json.loads(p.read_text()), dataclasses.asdict(rep)
+        models = {name: SaturationModel.from_dict(m) for name, m in doc.pop("models").items()}
+        assert models == rep.models
+        del expected["models"]
+        assert doc == expected
+
+    def test_model_keys_in_field_order(self, tmp_path):
+        # SaturationModel's field order is the JSON format: a reorder must fail here
+        p = tmp_path / "report.json"
+        emit(run_curve(CurveConfig(**SMALL_CURVE)), p, "json")
+        models = json.loads(p.read_text())["models"]
+        assert set(models) == {"train_acc", "test_acc", "kernel_err"}
+        for model in models.values():
+            assert list(model) == ["form", "offset", "slope", "fit_points", "flagged"]
 
     def test_curve_csv_header(self, tmp_path):
         rep = run_curve(CurveConfig(**SMALL_CURVE))
@@ -336,8 +364,8 @@ class TestEmit:
             assert float(fields[7]) == point.bound_eq1
 
     def test_spectral_keys_shared_by_curve_and_nystrom_eval(self):
-        curve = run_curve(CurveConfig(**SMALL_CURVE)).to_dict()["spectral"]
-        nys = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM)).to_dict()["spectral"]
+        curve = run_curve(CurveConfig(**SMALL_CURVE)).spectral
+        nys = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM)).spectral
         assert set(curve) == {"k_effective", "rank_k_residual", "scaled_diag_max"}
         assert [set(entry) for entry in nys.values()] == [set(curve)]
 
