@@ -2,8 +2,9 @@
 
 Closed-form and deterministic: each class solves the same regularized normal
 equations with a different +/-1 target vector, so all classes share one matrix
-factorization. The bias enters as an augmented constant feature excluded from
-the regularizer.
+factorization. The bias acts as a constant feature excluded from the
+regularizer; the normal equations are assembled from C^T C, the column sums of
+C and C^T y, so no augmented copy of the code matrix is made.
 """
 
 from __future__ import annotations
@@ -24,9 +25,14 @@ class LinearModel:
 def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -> LinearModel:
     """Fit one ridge regressor per class on +/-1 targets.
 
-    Solves (F_hat^T F_hat + lam * D) w = F_hat^T y per class, where F_hat is the
-    code matrix with a constant column appended and D is the identity with a
-    zero in the bias position.
+    Solves (F^T F + lam * D) w = F^T y per class, where F is the code matrix
+    with a constant column appended and D is the identity with a zero in the
+    bias position. F is never built: the Gram is C^T C bordered by the column
+    sums of C and N in the corner, and the right-hand side is C^T y over the
+    per-class sums of y. The C^T C block and both right-hand-side parts keep
+    the bits of the augmented products; only the bias row and column of the
+    Gram (the column sums) may differ from them in the last bits, since
+    numpy's sum and the BLAS product add in different orders.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -38,12 +44,15 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError("labels must lie in [0, n_classes)")
 
-    F = np.column_stack([C.values, np.ones(C.N)])
-    reg = lam * np.eye(C.c + 1)
-    reg[C.c, C.c] = 0.0  # bias is not regularized
-    gram = F.T @ F + reg
+    V = C.values
+    gram = np.empty((C.c + 1, C.c + 1))
+    gram[: C.c, : C.c] = V.T @ V
+    gram[C.c, : C.c] = gram[: C.c, C.c] = V.sum(axis=0)
+    gram[C.c, C.c] = C.N
+    gram[np.arange(C.c), np.arange(C.c)] += lam  # the bias is not regularized
     targets = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
-    solution = np.linalg.solve(gram, F.T @ targets)
+    rhs = np.vstack([V.T @ targets, targets.sum(axis=0)])
+    solution = np.linalg.solve(gram, rhs)
     return LinearModel(weights=solution[:-1, :], bias=solution[-1, :])
 
 

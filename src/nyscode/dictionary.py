@@ -131,7 +131,7 @@ def _kmeanspp_init(
     for j in range(1, c):
         total = d2.sum()
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _draw(rng, d2 / total)
         else:
             # remaining points coincide with chosen centers: take the first unchosen
             idx = int(np.flatnonzero(~chosen)[0])
@@ -139,6 +139,14 @@ def _kmeanspp_init(
         chosen[idx] = True
         _lower_min_sq_dists(pts, pts_sq, centers[j], d2)
     return centers
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, bit for bit, without choice's
+    per-call validation of ``p`` (a compensated sum and a sign check)."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def _relocate_empty(

@@ -42,7 +42,8 @@ from .spectra import SpectralReport, check_energy, spectral_report
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation; ints pass as floats, NaN and inf fail."""
+    """Whether a JSON value fits a field annotation; ints pass as floats, NaN and inf
+    fail, and an int must lie in [0, 2**63)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
@@ -60,7 +61,14 @@ def _fits(value, hint) -> bool:
         return hint is bool
     if hint is float:
         return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if hint is int:  # a size, a count or a seed: never negative, and numpy takes none >= 2**63
+        return isinstance(value, int) and 0 <= value < 2**63
     return isinstance(value, hint)
+
+
+def _mentions_int(hint) -> bool:
+    """Whether a field annotation is int or holds one (list[int], tuple[int, int], ...)."""
+    return hint is int or any(map(_mentions_int, typing.get_args(hint)))
 
 
 class _Config:
@@ -72,6 +80,8 @@ class _Config:
             value = getattr(self, key)
             if not _fits(value, hint):
                 expected = hint.__name__ if isinstance(hint, type) else str(hint)
+                if _mentions_int(hint):
+                    expected += " (ints in [0, 2**63))"
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
             if typing.get_origin(hint) is tuple:
                 setattr(self, key, tuple(value))
@@ -276,14 +286,24 @@ def _spectral_summary(rep: SpectralReport) -> dict:
 
 
 def _fit_score(
-    ftr: CodeMatrix, ytr: np.ndarray, fte: CodeMatrix, yte: np.ndarray, n_classes: int, lam: float
+    features: typing.Callable[[DataMatrix | PatchGrid], CodeMatrix],
+    Xtr: DataMatrix | PatchGrid,
+    ytr: np.ndarray,
+    Xte: DataMatrix | PatchGrid,
+    yte: np.ndarray,
+    n_classes: int,
+    lam: float,
 ) -> tuple[float, float]:
-    """Train the ridge classifier on (ftr, ytr); return its (train, test) accuracy."""
+    """Train the ridge classifier on (features(Xtr), ytr); return its (train, test) accuracy.
+
+    One feature matrix is alive at a time: the train features are dropped once
+    they are scored, before the test features are built.
+    """
+    ftr = features(Xtr)
     model = classifier.train_ridge(ftr, ytr, n_classes, lam)
-    return (
-        classifier.accuracy(classifier.predict(model, ftr), ytr),
-        classifier.accuracy(classifier.predict(model, fte), yte),
-    )
+    train_acc = classifier.accuracy(classifier.predict(model, ftr), ytr)
+    del ftr
+    return train_acc, classifier.accuracy(classifier.predict(model, features(Xte)), yte)
 
 
 _SCORES = ("train_acc", "test_acc")  # the fields of a _fit_score tuple
@@ -350,9 +370,11 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
             else:
                 idx = None
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
-            ctr = encode(Xtr, D, cfg.alpha)
-            cte = encode(Xte, D, cfg.alpha)
-            scores.append(_fit_score(ctr, ytr, cte, yte, dataset.n_classes, lam))
+            scores.append(
+                _fit_score(
+                    lambda X: encode(X, D, cfg.alpha), Xtr, ytr, Xte, yte, dataset.n_classes, lam
+                )
+            )
             if diagnostics and idx is not None:
                 e = approximation_errors(C_full, decompose(C_full, idx), spec_rep.singular_values)
                 errs.append((e.code_err, e.kernel_err))
@@ -448,9 +470,11 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
                     kmeans_iters=cfg.kmeans_iters,
                     seed=seed,
                 )
-                ftr = _pooled_features(grid_tr, D, cfg.alpha, cfg.regions, cfg.pool_op)
-                fte = _pooled_features(grid_te, D, cfg.alpha, cfg.regions, cfg.pool_op)
-                scores.append(_fit_score(ftr, ytr, fte, yte, cfg.classes, lam))
+
+                def features(grid: PatchGrid) -> CodeMatrix:
+                    return _pooled_features(grid, D, cfg.alpha, cfg.regions, cfg.pool_op)
+
+                scores.append(_fit_score(features, grid_tr, ytr, grid_te, yte, cfg.classes, lam))
             stats = _mean_std(_SCORES, scores)
             if overshoot == 1:
                 base = stats["test_acc"]

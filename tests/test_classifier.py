@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,63 @@ class TestTrainRidge:
         # with weights ~0, the bias still reproduces the class target means
         means = [np.mean(np.where(labels == 0, 1.0, -1.0)), np.mean(np.where(labels == 1, 1.0, -1.0))]
         assert np.allclose(model.bias, means, atol=1e-6)
+
+
+def _augmented_ridge(C, labels, n_classes, lam):
+    """The normal equations solved on the code matrix with a ones column appended."""
+    F = np.column_stack([C.values, np.ones(C.N)])
+    reg = lam * np.eye(C.c + 1)
+    reg[C.c, C.c] = 0.0
+    targets = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
+    solution = np.linalg.solve(F.T @ F + reg, F.T @ targets)
+    return LinearModel(weights=solution[:-1, :], bias=solution[-1, :])
+
+
+def _ridge_problem(N, c, seed):
+    rng = np.random.default_rng(seed)
+    values = np.maximum(0.0, rng.standard_normal((N, c)) + 0.3)
+    return CodeMatrix(values), rng.integers(0, 4, N)
+
+
+def _degenerate_problem():
+    # an all-zero column and two duplicate columns
+    C, labels = _ridge_problem(300, 7, 3)
+    values = C.values.copy()
+    values[:, 2] = 0.0
+    values[:, 5] = values[:, 4]
+    return CodeMatrix(values), labels
+
+
+class TestRidgeWithoutAugmentedCopy:
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: _ridge_problem(300, 7, 0),
+            lambda: _ridge_problem(4000, 256, 1),
+            lambda: _ridge_problem(500, 1, 2),
+            _degenerate_problem,
+        ],
+        ids=["300x7", "4000x256", "c1", "zero-and-duplicate-columns"],
+    )
+    def test_matches_augmented_oracle(self, problem):
+        C, labels = problem()
+        lam = 1e-3 * C.N
+        model = train_ridge(C, labels, 4, lam)
+        oracle = _augmented_ridge(C, labels, 4, lam)
+        for ours, ref in ((model.weights, oracle.weights), (model.bias, oracle.bias)):
+            assert np.linalg.norm(ours - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(predict(model, C), predict(oracle, C))
+
+    def test_peak_allocation_below_one_code_matrix(self):
+        # the augmented copy alone was N x (c + 1) floats
+        C, labels = _ridge_problem(20_000, 64, 4)
+        tracemalloc.start()
+        try:
+            train_ridge(C, labels, 4, lam=20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C.values.nbytes
 
 
 class TestPredict:

@@ -186,6 +186,29 @@ class TestConfigRejectedBeforeWork:
         assert named in capsys.readouterr().err
         assert spies == []
 
+    @pytest.mark.parametrize(
+        "command, payload, shown",
+        [
+            ("curve", dict(CURVE_CFG, seeds=[-1]),
+             "config key 'seeds' must be list[int] (ints in [0, 2**63)), got [-1]"),
+            ("pdl", dict(PDL, split_seed=-3),
+             "config key 'split_seed' must be int (ints in [0, 2**63)), got -3"),
+            ("nystrom-eval", {"c_grid": [4], "seeds": [0], "n_samples": 10**400},
+             f"config key 'n_samples' must be int (ints in [0, 2**63)), got {10**400}"),
+        ],
+        ids=["negative-seed", "negative-split_seed", "400-digit-n_samples"],
+    )
+    def test_int_out_of_range_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                       command, payload, shown):
+        # these used to reach numpy, whose message names neither the key nor the value
+        made = []
+        for name in ("synth_labeled_manifold", "synth_manifold", "synth_texture_images"):
+            monkeypatch.setattr(harness, name, lambda *a, _n=name, **k: made.append(_n))
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert shown in capsys.readouterr().err
+        assert made == []
+
 
 class TestNystromEvalCommand:
     def test_reports_coverage(self, tmp_path):
@@ -199,13 +222,22 @@ class TestNystromEvalCommand:
         assert report["kind"] == "nystrom_eval"
         assert 0.0 <= report["coverage"] <= 1.0
 
-    @pytest.mark.parametrize("bad_c", [0, 10**400], ids=["zero", "400-digit"])
-    def test_c_outside_sample_count_exits_2(self, tmp_path, capsys, bad_c):
+    @pytest.mark.parametrize(
+        "bad_c, message",
+        [
+            (0, "need 1 <= c <= N, got c=0, N=64"),
+            # above the range of every config int: the config type check names the key
+            (10**400, f"config key 'c_grid' must be list[int] (ints in [0, 2**63)), "
+                      f"got [8, {10**400}]"),
+        ],
+        ids=["zero", "400-digit"],
+    )
+    def test_c_outside_sample_count_exits_2(self, tmp_path, capsys, bad_c, message):
         # rejected by the config check, before the bound or the sampler sees it
         cfg = _write_config(tmp_path, {"c_grid": [8, bad_c], "seeds": [0], "k_list": [2],
                                        "n_samples": 64})
         assert cli.main(["nystrom-eval", "--config", cfg]) == cli.EXIT_ARGUMENT
-        assert f"need 1 <= c <= N, got c={bad_c}, N=64" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_c_at_both_ends_of_range_runs(self, tmp_path):
         cfg = _write_config(tmp_path, {"c_grid": [1, 64], "seeds": [0], "k_list": [2],

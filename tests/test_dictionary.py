@@ -265,6 +265,36 @@ BIT_IDENTITY_CASES = {
 }
 
 
+class TestWeightedDraw:
+    """k-means++ draws its next center as Generator.choice(n, p=...) would."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 11760])
+    def test_matches_generator_choice(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(5):
+            w = rng.random(n)
+            if n > 1:
+                w[rng.random(n) < 0.3] = 0.0  # chosen centers have weight 0
+                w[0] = 0.0
+                w[-1] = max(w[-1], 0.5)
+            p = w / w.sum()
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = [dictionary._draw(ours, p) for _ in range(30)]
+            assert draws == [int(ref.choice(n, p=p)) for _ in range(30)]
+            assert ours.random() == ref.random()  # both consumed the same stream
+            assert all(p[i] > 0 for i in draws)
+
+    @pytest.mark.parametrize("u, index", [(0.0, 1), (0.5, 3)])
+    def test_uniform_on_a_cdf_step_skips_zero_weights(self, u, index):
+        # choice searches the cdf from the right: a uniform equal to a step
+        # value lands past the zero-weight points that share it
+        class Fixed:
+            def random(self):
+                return u
+
+        assert dictionary._draw(Fixed(), np.array([0.0, 0.5, 0.0, 0.5])) == index
+
+
 class TestKMeansBitIdentity:
     @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CASES))
     def test_matches_plain_kmeans(self, name):

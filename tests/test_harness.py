@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from nyscode import coding, nystrom
+from nyscode import coding, harness, nystrom
 from nyscode.bounds import SaturationModel
 from nyscode.harness import (
     CurveConfig,
@@ -100,6 +101,11 @@ class TestConfigParsing:
             (CurveConfig, "alpha", float("nan")),
             (PdlConfig, "lam", float("inf")),
             (NystromEvalConfig, "energy", float("-inf")),
+            (CurveConfig, "seeds", [0, -1]),
+            (PdlConfig, "split_seed", -3),
+            (PdlConfig, "regions", [2, -1]),
+            (NystromEvalConfig, "n_samples", 2**64),
+            (CurveConfig, "d", 2**63),
         ],
     )
     def test_wrong_type_names_key(self, cls, key, value):
@@ -110,6 +116,10 @@ class TestConfigParsing:
         }[cls]
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
             cls.from_dict({**required, key: value})
+
+    def test_int_range_edges_accepted(self):
+        cfg = CurveConfig(c_grid=[4, 8, 16], seeds=[0, 2**63 - 1], split_seed=0)
+        assert cfg.seeds == [0, 2**63 - 1]
 
     def test_direct_construction_checked(self):
         # the check runs in __post_init__, so a config built in Python is checked too
@@ -263,6 +273,49 @@ class TestNoKernelInSweeps:
         assert not [call for call in grams if call[0] == "nyscode.nystrom"]
         # the one Gram product left builds C itself from the N x d data
         assert grams and all(shape[0] != shape[1] for _, shape in grams)
+
+
+class TestOneFeatureMatrixAlive:
+    """Each sweep cell holds one code matrix at a time: the train features are
+    dropped once scored, before the test features are built, and nothing
+    outlives its cell."""
+
+    @pytest.fixture
+    def featurized(self, monkeypatch):
+        refs = []  # a weak reference to every feature matrix returned so far
+
+        def track(real):
+            def call(*args, **kwargs):
+                # only a matrix passed in (the codes that pool reduces) may still be alive
+                alive = sum(
+                    1 for ref in refs if ref() is not None and all(ref() is not a for a in args)
+                )
+                assert alive == 0, f"{alive} earlier feature matrices alive at call {len(refs)}"
+                out = real(*args, **kwargs)
+                refs.append(weakref.ref(out))
+                return out
+
+            return call
+
+        for name in ("encode", "pool"):
+            monkeypatch.setattr(harness, name, track(getattr(harness, name)))
+        return refs
+
+    @pytest.mark.parametrize(
+        "run, cfg, calls",
+        [
+            # 3 sizes x 2 seeds x (train, test) encodes
+            (run_curve, CurveConfig(**SMALL_CURVE), 12),
+            (run_curve, CurveConfig(**SMALL_CURVE, dict_source="kmeans", kmeans_iters=10), 12),
+            # 2 overshoots x 2 seeds x (train, test) x (encode, pool)
+            (run_pdl_compare, PdlConfig(**SMALL_PDL), 16),
+        ],
+        ids=["curve-sampled", "curve-kmeans", "pdl"],
+    )
+    def test_no_earlier_feature_matrix_alive(self, featurized, run, cfg, calls):
+        run(cfg)
+        assert len(featurized) == calls
+        assert all(ref() is None for ref in featurized)
 
 
 class TestSynthTextureImages:
