@@ -97,9 +97,15 @@ def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
     return CodeMatrix(np.maximum(0.0, gram - alpha))
 
 
-def gram_kernel(C: CodeMatrix) -> np.ndarray:
-    """Kernel matrix K = C C^T between encoded samples (N x N, PSD)."""
-    return _sym_gram(C.values)
+def gram_kernel(C) -> np.ndarray:
+    """Kernel matrix K = C C^T between encoded samples (N x N, PSD).
+
+    numpy computes a product with its own transpose by one syrk and copies
+    one triangle into the other, so K equals its transpose bit for bit with
+    no symmetrizing pass.
+    """
+    values = _matrix(C)
+    return values @ values.T
 
 
 def _sym_gram(A: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, classifier
-from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code
+from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code, gram_kernel
 from .data import (
     DataMatrix,
     LabeledDataset,
@@ -42,8 +42,8 @@ from .spectra import SpectralReport, check_energy, spectral_report
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation; ints pass as floats, NaN and inf
-    fail, and an int must lie in [0, 2**63)."""
+    """Whether a JSON value fits a field annotation; ints pass as floats unless too
+    large for one, NaN and inf fail, and an int must lie in [0, 2**63)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
@@ -60,7 +60,12 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if isinstance(value, int):
+            try:
+                value = float(value)
+            except OverflowError:
+                return False
+        return isinstance(value, float) and math.isfinite(value)
     if hint is int:  # a size, a count or a seed: never negative, and numpy takes none >= 2**63
         return isinstance(value, int) and 0 <= value < 2**63
     return isinstance(value, hint)
@@ -355,10 +360,13 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         raise ValueError("fewer than 2 usable codebook sizes after skipping oversized ones")
 
     diagnostics = n_train <= cfg.nystrom_limit
-    C_full = spec_rep = None
+    C_full = spec_rep = K = None
     if diagnostics:
         C_full = full_code(Xtr, cfg.alpha)
         spec_rep = spectral_report(C_full, energy=cfg.energy)
+        if cfg.dict_source == "sampled":
+            # one kernel for every cell to score from, built after eigvalsh's copy of C is freed
+            K = gram_kernel(C_full)
 
     points: list[CurvePoint] = []
     for c in kept:
@@ -375,8 +383,9 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                     lambda X: encode(X, D, cfg.alpha), Xtr, ytr, Xte, yte, dataset.n_classes, lam
                 )
             )
-            if diagnostics and idx is not None:
-                e = approximation_errors(C_full, decompose(C_full, idx), spec_rep.singular_values)
+            if K is not None:
+                f = decompose(C_full, idx)
+                e = approximation_errors(C_full, f, spec_rep.singular_values, K)
                 errs.append((e.code_err, e.kernel_err))
         points.append(
             CurvePoint(
@@ -499,6 +508,9 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     for c in cfg.c_grid:
         if not 1 <= c <= cfg.n_samples:
             raise ValueError(f"need 1 <= c <= N, got c={c}, N={cfg.n_samples}")
+    cs = sorted(set(cfg.c_grid))
+    # the draws depend on neither k nor the data: one per (c, seed) serves every k
+    draws = {(c, seed): sample_indices(cfg.n_samples, c, seed) for c in cs for seed in cfg.seeds}
     cells: list[NystromCell] = []
     spectral = {}
     for k in sorted(set(cfg.k_list)):
@@ -508,11 +520,12 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         C = full_code(Xn, cfg.alpha)
         rep = spectral_report(C, energy=cfg.energy)
         spectral[str(k)] = _spectral_summary(rep)
-        for c in sorted(set(cfg.c_grid)):
+        K = gram_kernel(C)  # after eigvalsh's copy of C is freed
+        for c in cs:
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
-                idx = sample_indices(cfg.n_samples, c, seed)
-                errs = approximation_errors(C, decompose(C, idx), rep.singular_values)
+                f = decompose(C, draws[c, seed])
+                errs = approximation_errors(C, f, rep.singular_values, K)
                 cells.append(
                     NystromCell(
                         k=k,

@@ -25,17 +25,21 @@ W^+ out of every sum, so a near-singular W costs far fewer digits than it
 does through W^+ itself. K_hat never materializes C_hat: the inner r x r
 matrix is all that is needed.
 
-Trace identities. Scoring a sample needs neither C_hat nor the exact kernel
-K = C C^T (O(N^3)). With P = C E, G = E^T E and sigma the singular values
+Trace identities. Scoring a sample needs neither C_hat nor any N x N
+product of its own. With P = C E, G = E^T E and sigma the singular values
 of C,
 
     ||C - E W^+ E^T||_F^2 = sum sigma^2 - 2 <W^+, E^T P> + <W^+ G, G W^+>
     ||K - E M E^T||_F^2   = sum sigma^4 - 2 <M, P^T P>   + <M G, G M>
 
-where the kernel identity uses E^T K E = P^T P, which holds because C is
-symmetric. In the eigenbasis the three terms of each are sum sigma^2,
-2 sum_i (F^T C F)_ii / lambda_i and <Nm, H>, and sum sigma^4,
-2 <Nm, (C F)^T (C F)> and tr(Nm H Nm H): one N x r product C F per sample.
+where K = C C^T is the exact kernel and the kernel identity uses
+E^T K E = P^T P. Both need C to be symmetric, and so does the cost model:
+for symmetric C, P = C C[:, indices] = K[indices, :]^T is c rows of K. The
+caller builds K once per code matrix (one N x N syrk), and each sample is
+scored from its c rows in N c r work: CF = K[indices, :]^T U equals C F.
+In the eigenbasis the three terms of each are sum sigma^2,
+2 sum_i (F^T CF)_ii / lambda_i and <Nm, H>, and sum sigma^4,
+2 <Nm, CF^T CF> and tr(Nm H Nm H).
 
 Fallback. ``approximation_errors`` uses the trace forms when the caller
 passes the spectrum it already holds. They subtract terms of size sum sigma^2
@@ -43,8 +47,9 @@ passes the spectrum it already holds. They subtract terms of size sum sigma^2
 relative error of the returned norm was measured at about 2e-15 over the
 ratio of the squared residual to its scale. Below ``TRACE_FLOOR`` of that
 scale, and whenever no spectrum is given, the residual norms are taken
-directly: ||C - F diag(1/lambda) F^T||_F and ||K - F Nm F^T||_F, with
-K = C C^T built for the call.
+directly: ||C - F diag(1/lambda) F^T||_F and ||K - F Nm F^T||_F, against
+the same K the trace forms read, so the fallback never rebuilds it. A call
+given no K builds it once, for that call.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coding import _matrix, _sym_gram
+from .coding import _matrix, gram_kernel
 
 # eigenvalues of W at or below this fraction of the largest magnitude are dropped
 PINV_TOL = 1e-10
@@ -103,7 +108,7 @@ def decompose(C, indices) -> NystromFactors:
         raise ValueError("indices must be distinct")
     if idx.min() < 0 or idx.max() >= values.shape[0]:
         raise ValueError(f"indices out of range 0..{values.shape[0] - 1}")
-    E = values[:, idx]
+    E = np.take(values, idx, axis=1)
     W = E[idx, :]
     if not np.array_equal(W, W.T):
         raise ValueError("C must be symmetric: the sampled block W differs from its transpose")
@@ -142,23 +147,31 @@ class ApproximationErrors:
     kernel_err: float
 
 
-def approximation_errors(C, f: NystromFactors, s=None) -> ApproximationErrors:
-    """Frobenius errors of the code and kernel reconstructions against C and C C^T.
+def approximation_errors(C, f: NystromFactors, s=None, K=None) -> ApproximationErrors:
+    """Frobenius errors of the code and kernel reconstructions against C and K = C C^T.
 
-    ``s`` is the singular values of the symmetric C (``SpectralReport.
-    singular_values``). Given, the errors come from the trace forms of the
-    module docstring, one N x r product C F per call, unless either squared
-    error lies below ``TRACE_FLOOR`` of its scale. Otherwise, and without
-    ``s``, the residual norms are taken directly, with C C^T computed here.
+    C must be symmetric (``decompose`` checks only the sampled block W).
+    ``K`` is its kernel C C^T (``coding.gram_kernel``): a sweep builds it once
+    per code matrix and passes it to every sample; left out, it is built here.
+    ``s`` is the singular values of C (``SpectralReport.singular_values``).
+    Given, the errors come from the trace forms of the module docstring, N c r
+    work per call on c rows of K, unless either squared error lies below
+    ``TRACE_FLOOR`` of its scale. Otherwise, and without ``s``, the residual
+    norms are taken directly against C and the same K.
     """
     values = _matrix(C)
+    n = values.shape[0]
+    if K is None:
+        K = gram_kernel(values)
+    elif np.shape(K) != (n, n):
+        raise ValueError(f"K must be the {n} x {n} kernel C C^T, got shape {np.shape(K)}")
     F, inv, H, Nm = _eigen_factors(f)
     if s is not None:
         s2 = np.asarray(s, dtype=float) ** 2
-        if s2.shape != (values.shape[0],):
-            raise ValueError(f"need {values.shape[0]} singular values of C, got shape {s2.shape}")
+        if s2.shape != (n,):
+            raise ValueError(f"need {n} singular values of C, got shape {s2.shape}")
         code_scale, kernel_scale = float(s2.sum()), float(s2 @ s2)
-        CF = values @ F
+        CF = np.take(K, f.indices, axis=0).T @ f.eigvecs  # (C E) U, as C is symmetric
         NH = Nm @ H
         code_sq = code_scale - 2.0 * float(np.einsum("ij,ij->j", F, CF) @ inv) + np.vdot(Nm, H)
         kernel_sq = kernel_scale - 2.0 * np.vdot(Nm, CF.T @ CF) + np.vdot(NH, NH.T)
@@ -166,6 +179,11 @@ def approximation_errors(C, f: NystromFactors, s=None) -> ApproximationErrors:
             return ApproximationErrors(
                 code_err=float(np.sqrt(code_sq)), kernel_err=float(np.sqrt(kernel_sq))
             )
+    return _residual_norms(values, K, F, inv, Nm)
+
+
+def _residual_norms(values, K, F, inv, Nm) -> ApproximationErrors:
+    """The exact path: ||C - F diag(1/lambda) F^T||_F and ||K - F Nm F^T||_F."""
     code_err = np.linalg.norm(values - (F * inv) @ F.T)
-    kernel_err = np.linalg.norm(_sym_gram(values) - F @ Nm @ F.T)
+    kernel_err = np.linalg.norm(K - F @ Nm @ F.T)
     return ApproximationErrors(code_err=float(code_err), kernel_err=float(kernel_err))

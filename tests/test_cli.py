@@ -209,6 +209,22 @@ class TestConfigRejectedBeforeWork:
         assert shown in capsys.readouterr().err
         assert made == []
 
+    @pytest.mark.parametrize(
+        "command, payload, shown",
+        [
+            ("curve", dict(CURVE_CFG, lam=10**400),
+             f"config key 'lam' must be float | None, got {10**400}"),
+            ("nystrom-eval", {"c_grid": [4], "seeds": [0], "noise": 10**400},
+             f"config key 'noise' must be float, got {10**400}"),
+        ],
+        ids=["400-digit-lam", "400-digit-noise"],
+    )
+    def test_int_too_large_for_a_float_exits_2(self, tmp_path, capsys, command, payload, shown):
+        # these used to crash in np.isfinite (exit 1) or in float() (exit 4)
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert shown in capsys.readouterr().err
+
 
 class TestNystromEvalCommand:
     def test_reports_coverage(self, tmp_path):

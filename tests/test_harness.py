@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nyscode import coding, harness, nystrom
+from nyscode import harness, nystrom
 from nyscode.bounds import SaturationModel
 from nyscode.harness import (
     CurveConfig,
@@ -239,6 +239,20 @@ class TestRunNystromEval:
         for cell in rep.cells:
             assert cell.within_bound == (cell.code_err <= cell.bound_eq1)
 
+    def test_one_draw_per_c_and_seed(self, monkeypatch):
+        draws = []
+        real = harness.sample_indices
+
+        def spy(n, c, seed):
+            draws.append((c, seed))
+            return real(n, c, seed)
+
+        monkeypatch.setattr(harness, "sample_indices", spy)
+        cfg = NystromEvalConfig(**{**SMALL_NYSTROM, "k_list": [2, 3, 4]})
+        rep = run_nystrom_eval(cfg)
+        assert sorted(draws) == [(c, seed) for c in cfg.c_grid for seed in cfg.seeds]
+        assert len(rep.cells) == 3 * len(draws)
+
     def test_deterministic(self):
         a = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         b = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
@@ -246,33 +260,52 @@ class TestRunNystromEval:
 
 
 class TestNoKernelInSweeps:
-    """The sweeps score every Nystrom cell from the spectrum: no N x N kernel C C^T."""
+    """Sweep cells build no kernel C C^T: the sweep builds one per code matrix
+    with sampled cells to score, and every cell reuses it."""
 
     @pytest.fixture
-    def grams(self, monkeypatch):
+    def kernels(self, monkeypatch):
         calls = []
-        for module in (coding, nystrom):
-            def spy(A, _real=module._sym_gram, _name=module.__name__):
-                calls.append((_name, A.shape))
-                return _real(A)
+        for module in (harness, nystrom):
+            def spy(C, _real=module.gram_kernel, _name=module.__name__):
+                calls.append(_name)
+                return _real(C)
 
-            monkeypatch.setattr(module, "_sym_gram", spy)
+            monkeypatch.setattr(module, "gram_kernel", spy)
         return calls
 
     @pytest.mark.parametrize(
-        "run, cfg",
+        "run, cfg, built",
         [
-            (run_curve, CurveConfig(**SMALL_CURVE)),
-            (run_curve, CurveConfig(**SMALL_CURVE, dict_source="kmeans", kmeans_iters=10)),
-            (run_nystrom_eval, NystromEvalConfig(**SMALL_NYSTROM)),
+            (run_curve, CurveConfig(**SMALL_CURVE), 1),
+            (run_curve, CurveConfig(**SMALL_CURVE, dict_source="kmeans", kmeans_iters=10), 0),
+            (run_nystrom_eval, NystromEvalConfig(**{**SMALL_NYSTROM, "k_list": [2, 4]}), 2),
         ],
         ids=["curve-sampled", "curve-kmeans", "nystrom-eval"],
     )
-    def test_no_kernel_built(self, grams, run, cfg):
+    def test_no_kernel_built(self, kernels, run, cfg, built):
         run(cfg)
-        assert not [call for call in grams if call[0] == "nyscode.nystrom"]
-        # the one Gram product left builds C itself from the N x d data
-        assert grams and all(shape[0] != shape[1] for _, shape in grams)
+        assert kernels == ["nyscode.harness"] * built
+
+    def test_full_sample_falls_back_on_the_sweep_kernel(self, kernels, monkeypatch):
+        # c = n_train samples every column, so its errors are ~0, below TRACE_FLOOR,
+        # and each of its cells takes the exact residuals against the one sweep K
+        exact = []
+        real = nystrom._residual_norms
+
+        def spy(values, K, *factors):
+            exact.append(K)
+            return real(values, K, *factors)
+
+        monkeypatch.setattr(nystrom, "_residual_norms", spy)
+        n_train = 96  # 0.8 of SMALL_CURVE's 120 samples
+        rep = run_curve(CurveConfig(**{**SMALL_CURVE, "c_grid": [4, 8, n_train]}))
+        assert kernels == ["nyscode.harness"]
+        assert len(exact) == len(SMALL_CURVE["seeds"])
+        assert exact[0].shape == (n_train, n_train)
+        assert all(K is exact[0] for K in exact)
+        full = rep.curve[-1]
+        assert full.c == n_train and full.code_err <= 1e-9 and full.kernel_err <= 1e-9
 
 
 class TestOneFeatureMatrixAlive:

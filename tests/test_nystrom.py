@@ -258,14 +258,15 @@ class TestBlockedResiduals:
         assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
 
     def test_no_n_by_n_temporary(self):
-        # given the spectrum, scoring a sample builds neither C C^T nor any N x N matrix
+        # given the spectrum and the kernel, scoring a sample builds no N x N matrix
         n = 512
         C = _code(n, seed=1)
         s = singular_values(C)
+        K = gram_kernel(C)
         f = decompose(C, sample_indices(n, 64, 0))
         tracemalloc.start()
         try:
-            approximation_errors(C, f, s)
+            approximation_errors(C, f, s, K)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,16 +274,22 @@ class TestBlockedResiduals:
 
 
 def _count_exact(monkeypatch) -> list:
-    """Record every exact residual pass of approximation_errors: each builds
-    C C^T with ``_sym_gram``, which the trace path never calls."""
+    """Record the kernel of every exact residual pass of approximation_errors
+    (``_residual_norms``, which the trace path never takes), and fail any call
+    that builds C C^T: every caller here passes K, and a call given K builds
+    none, on the trace path and the fallback alike."""
     calls = []
-    real = nystrom._sym_gram
+    real = nystrom._residual_norms
 
-    def spy(A):
-        calls.append(A.shape)
-        return real(A)
+    def spy(values, K, *factors):
+        calls.append(K)
+        return real(values, K, *factors)
 
-    monkeypatch.setattr(nystrom, "_sym_gram", spy)
+    def no_kernel(C):
+        raise AssertionError("approximation_errors built C C^T although it was given K")
+
+    monkeypatch.setattr(nystrom, "_residual_norms", spy)
+    monkeypatch.setattr(nystrom, "gram_kernel", no_kernel)
     return calls
 
 
@@ -291,12 +298,13 @@ class TestTraceResiduals:
     def test_matches_exact_path(self, n, c, monkeypatch):
         C = _code(n, seed=n)
         s = singular_values(C)
+        K = gram_kernel(C)
         calls = _count_exact(monkeypatch)
         for seed in range(3):
             f = decompose(C, sample_indices(n, c, seed))
-            trace = approximation_errors(C, f, s)
+            trace = approximation_errors(C, f, s, K)
             assert not calls
-            exact = approximation_errors(C, f)
+            exact = approximation_errors(C, f, K=K)
             calls.clear()
             assert trace.code_err == pytest.approx(exact.code_err, rel=1e-10)
             assert trace.kernel_err == pytest.approx(exact.kernel_err, rel=1e-10)
@@ -306,11 +314,12 @@ class TestTraceResiduals:
         n = 160
         C = _code(n, seed, gap=1e-4)
         s = singular_values(C)
+        K = gram_kernel(C)
         f = decompose(C, np.concatenate([[0, 1], 2 + sample_indices(n - 2, 62, seed)]))
         calls = _count_exact(monkeypatch)
-        trace = approximation_errors(C, f, s)
+        trace = approximation_errors(C, f, s, K)
         assert not calls
-        exact = approximation_errors(C, f)
+        exact = approximation_errors(C, f, K=K)
         assert abs(f.eigvals[0] / f.eigvals[-1]) > 1e7
         assert exact.code_err > np.linalg.norm(C.values)
         assert trace.code_err == pytest.approx(exact.code_err, rel=1e-10)
@@ -321,8 +330,8 @@ class TestTraceResiduals:
         C = _code(n, seed=2)
         K = gram_kernel(C)
         calls = _count_exact(monkeypatch)
-        errs = approximation_errors(C, decompose(C, np.arange(n)), singular_values(C))
-        assert calls == [(n, n)]
+        errs = approximation_errors(C, decompose(C, np.arange(n)), singular_values(C), K)
+        assert len(calls) == 1 and calls[0] is K
         assert errs.code_err <= 1e-9 * np.linalg.norm(C.values)
         assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
 
@@ -335,8 +344,8 @@ class TestTraceResiduals:
             C = A @ A.T
             C = (C + C.T) / 2.0
             idx = _spanning_columns(C, r, r)
-            errs = approximation_errors(C, decompose(C, idx), singular_values(C))
             K = C @ C
+            errs = approximation_errors(C, decompose(C, idx), singular_values(C), K)
             assert errs.code_err <= 1e-8 * np.linalg.norm(C)
             assert errs.kernel_err <= 1e-7 * np.linalg.norm(K)
         assert len(calls) == 4
@@ -347,11 +356,12 @@ class TestTraceResiduals:
         n = 96
         C = _code(n, seed=n)
         s = singular_values(C)
+        K = gram_kernel(C)
         calls = _count_exact(monkeypatch)
         smaller = []
         for seed in (0, 1):
             f = decompose(C, sample_indices(n, 48, seed))
-            exact = approximation_errors(C, f)
+            exact = approximation_errors(C, f, K=K)
             ratios = {
                 "code": exact.code_err**2 / np.sum(s**2),
                 "kernel": exact.kernel_err**2 / np.sum(s**4),
@@ -361,7 +371,7 @@ class TestTraceResiduals:
             for floor, fallback in [(0.99 * lo, False), (np.sqrt(lo * hi), True)]:
                 monkeypatch.setattr(nystrom, "TRACE_FLOOR", floor)
                 calls.clear()
-                approximation_errors(C, f, s)
+                approximation_errors(C, f, s, K)
                 assert bool(calls) == fallback
         assert smaller == ["kernel", "code"]
 
@@ -376,3 +386,11 @@ class TestTraceResiduals:
         C = _code(20, seed=0)
         with pytest.raises(ValueError, match="singular values"):
             approximation_errors(C, decompose(C, [0, 1]), np.ones(19))
+
+    @pytest.mark.parametrize("shape", [(19, 19), (20, 19), (20,), (20, 20, 1)])
+    def test_kernel_shape_checked(self, shape):
+        C = _code(20, seed=0)
+        f = decompose(C, [0, 1])
+        for s in (None, singular_values(C)):
+            with pytest.raises(ValueError, match="kernel"):
+                approximation_errors(C, f, s, np.ones(shape))
