@@ -50,6 +50,7 @@ from .nystrom import (
     decompose,
     reconstruct_code,
     reconstruct_kernel,
+    trace_scales,
 )
 from .pooling import pdl, pool
 from .spectra import SpectralReport, effective_rank, rank_k_residual, scaled_diag_max, spectral_report

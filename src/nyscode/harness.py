@@ -36,7 +36,7 @@ from .data import (
     synth_texture_images,
 )
 from .dictionary import kmeans, sample_indices
-from .nystrom import approximation_errors, decompose
+from .nystrom import approximation_errors, decompose, trace_scales
 from .pooling import PoolOp, check_regions, pool, pdl
 from .spectra import SpectralReport, check_energy, spectral_report
 
@@ -79,8 +79,12 @@ def _mentions_int(hint) -> bool:
 class _Config:
     """Base of the config dataclasses: a type check on every build, and JSON parsing."""
 
+    # keys whose value, when set, must be above zero: checked on build, before any data
+    _POSITIVE = ()
+
     def __post_init__(self):
-        """Reject a value that does not fit its field's type; a list becomes a tuple."""
+        """Reject a value that does not fit its field's type, or a ``_POSITIVE`` key at
+        or below zero; a list becomes a tuple."""
         for key, hint in typing.get_type_hints(type(self)).items():
             value = getattr(self, key)
             if not _fits(value, hint):
@@ -90,6 +94,10 @@ class _Config:
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
             if typing.get_origin(hint) is tuple:
                 setattr(self, key, tuple(value))
+        for key in self._POSITIVE:
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ValueError(f"config key {key!r} must be > 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -114,6 +122,8 @@ class _Config:
 @dataclass
 class CurveConfig(_Config):
     """Parameters of an accuracy-versus-codebook-size sweep."""
+
+    _POSITIVE = ("lam", "kmeans_iters")
 
     c_grid: list[int]
     seeds: list[int]
@@ -142,6 +152,8 @@ class CurveConfig(_Config):
 @dataclass
 class PdlConfig(_Config):
     """Parameters of an overshoot-and-prune dictionary comparison."""
+
+    _POSITIVE = ("lam", "kmeans_iters")
 
     final_c_grid: list[int]
     overshoots: list[int]
@@ -365,8 +377,10 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         C_full = full_code(Xtr, cfg.alpha)
         spec_rep = spectral_report(C_full, energy=cfg.energy)
         if cfg.dict_source == "sampled":
-            # one kernel for every cell to score from, built after eigvalsh's copy of C is freed
+            # one kernel and its trace scales for every cell to score from, built
+            # after the spectrum's buffers are freed
             K = gram_kernel(C_full)
+            scales = trace_scales(C_full, K)
 
     points: list[CurvePoint] = []
     for c in kept:
@@ -385,7 +399,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
             )
             if K is not None:
                 f = decompose(C_full, idx)
-                e = approximation_errors(C_full, f, spec_rep.singular_values, K)
+                e = approximation_errors(C_full, f, scales, K)
                 errs.append((e.code_err, e.kernel_err))
         points.append(
             CurvePoint(
@@ -520,12 +534,13 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         C = full_code(Xn, cfg.alpha)
         rep = spectral_report(C, energy=cfg.energy)
         spectral[str(k)] = _spectral_summary(rep)
-        K = gram_kernel(C)  # after eigvalsh's copy of C is freed
+        K = gram_kernel(C)  # after the spectrum's buffers are freed
+        scales = trace_scales(C, K)
         for c in cs:
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
                 f = decompose(C, draws[c, seed])
-                errs = approximation_errors(C, f, rep.singular_values, K)
+                errs = approximation_errors(C, f, scales, K)
                 cells.append(
                     NystromCell(
                         k=k,

@@ -26,30 +26,30 @@ does through W^+ itself. K_hat never materializes C_hat: the inner r x r
 matrix is all that is needed.
 
 Trace identities. Scoring a sample needs neither C_hat nor any N x N
-product of its own. With P = C E, G = E^T E and sigma the singular values
-of C,
+product of its own. With P = C E and G = E^T E,
 
-    ||C - E W^+ E^T||_F^2 = sum sigma^2 - 2 <W^+, E^T P> + <W^+ G, G W^+>
-    ||K - E M E^T||_F^2   = sum sigma^4 - 2 <M, P^T P>   + <M G, G M>
+    ||C - E W^+ E^T||_F^2 = ||C||_F^2 - 2 <W^+, E^T P> + <W^+ G, G W^+>
+    ||K - E M E^T||_F^2   = ||K||_F^2 - 2 <M, P^T P>   + <M G, G M>
 
 where K = C C^T is the exact kernel and the kernel identity uses
-E^T K E = P^T P. Both need C to be symmetric, and so does the cost model:
-for symmetric C, P = C C[:, indices] = K[indices, :]^T is c rows of K. The
-caller builds K once per code matrix (one N x N syrk), and each sample is
-scored from its c rows in N c r work: CF = K[indices, :]^T U equals C F.
-In the eigenbasis the three terms of each are sum sigma^2,
-2 sum_i (F^T CF)_ii / lambda_i and <Nm, H>, and sum sigma^4,
-2 <Nm, CF^T CF> and tr(Nm H Nm H).
+E^T K E = P^T P. The two scales ||C||_F^2 and ||K||_F^2 (``trace_scales``;
+they are sum sigma^2 and sum sigma^4 over the singular values of C) are
+computed once per code matrix. Both identities need C to be symmetric, and
+so does the cost model: for symmetric C, P = C C[:, indices] =
+K[indices, :]^T is c rows of K. The caller builds K once per code matrix
+(one N x N syrk), and each sample is scored from its c rows in N c r work:
+CF = K[indices, :]^T U equals C F. In the eigenbasis the three terms of
+each are ||C||_F^2, 2 sum_i (F^T CF)_ii / lambda_i and <Nm, H>, and
+||K||_F^2, 2 <Nm, CF^T CF> and tr(Nm H Nm H).
 
 Fallback. ``approximation_errors`` uses the trace forms when the caller
-passes the spectrum it already holds. They subtract terms of size sum sigma^2
-(sum sigma^4), so a residual near zero loses its digits to cancellation; the
-relative error of the returned norm was measured at about 2e-15 over the
-ratio of the squared residual to its scale. Below ``TRACE_FLOOR`` of that
-scale, and whenever no spectrum is given, the residual norms are taken
-directly: ||C - F diag(1/lambda) F^T||_F and ||K - F Nm F^T||_F, against
-the same K the trace forms read, so the fallback never rebuilds it. A call
-given no K builds it once, for that call.
+passes the two scales. They subtract terms of that size, so a residual near
+zero loses its digits to cancellation; the relative error of the returned
+norm was measured at about 2e-15 over the ratio of the squared residual to
+its scale. Below ``TRACE_FLOOR`` of that scale, and whenever no scales are
+given, the residual norms are taken directly: ||C - F diag(1/lambda) F^T||_F
+and ||K - F Nm F^T||_F, against the same K the trace forms read, so the
+fallback never rebuilds it. A call given no K builds it once, for that call.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ from .coding import _matrix, gram_kernel
 # eigenvalues of W at or below this fraction of the largest magnitude are dropped
 PINV_TOL = 1e-10
 
-# a trace-form squared residual below this fraction of sum sigma^2 (code) or
-# sum sigma^4 (kernel) is recomputed exactly; above it the trace form is good
+# a trace-form squared residual below this fraction of ||C||_F^2 (code) or
+# ||K||_F^2 (kernel) is recomputed exactly; above it the trace form is good
 # to about 2e-10 relative
 TRACE_FLOOR = 1e-5
 
@@ -147,17 +147,23 @@ class ApproximationErrors:
     kernel_err: float
 
 
-def approximation_errors(C, f: NystromFactors, s=None, K=None) -> ApproximationErrors:
+def trace_scales(C, K) -> tuple[float, float]:
+    """(||C||_F^2, ||K||_F^2): the scales of the trace forms, once per code matrix."""
+    values = _matrix(C)
+    return float(np.vdot(values, values)), float(np.vdot(K, K))
+
+
+def approximation_errors(C, f: NystromFactors, scales=None, K=None) -> ApproximationErrors:
     """Frobenius errors of the code and kernel reconstructions against C and K = C C^T.
 
     C must be symmetric (``decompose`` checks only the sampled block W).
     ``K`` is its kernel C C^T (``coding.gram_kernel``): a sweep builds it once
     per code matrix and passes it to every sample; left out, it is built here.
-    ``s`` is the singular values of C (``SpectralReport.singular_values``).
-    Given, the errors come from the trace forms of the module docstring, N c r
-    work per call on c rows of K, unless either squared error lies below
-    ``TRACE_FLOOR`` of its scale. Otherwise, and without ``s``, the residual
-    norms are taken directly against C and the same K.
+    ``scales`` is the pair (||C||_F^2, ||K||_F^2) of ``trace_scales``. Given,
+    the errors come from the trace forms of the module docstring, N c r work
+    per call on c rows of K, unless either squared error lies below
+    ``TRACE_FLOOR`` of its scale. Otherwise, and without ``scales``, the
+    residual norms are taken directly against C and the same K.
     """
     values = _matrix(C)
     n = values.shape[0]
@@ -166,11 +172,12 @@ def approximation_errors(C, f: NystromFactors, s=None, K=None) -> ApproximationE
     elif np.shape(K) != (n, n):
         raise ValueError(f"K must be the {n} x {n} kernel C C^T, got shape {np.shape(K)}")
     F, inv, H, Nm = _eigen_factors(f)
-    if s is not None:
-        s2 = np.asarray(s, dtype=float) ** 2
-        if s2.shape != (n,):
-            raise ValueError(f"need {n} singular values of C, got shape {s2.shape}")
-        code_scale, kernel_scale = float(s2.sum()), float(s2 @ s2)
+    if scales is not None:
+        if np.shape(scales) != (2,):
+            raise ValueError(
+                f"scales must be the pair (||C||_F^2, ||K||_F^2), got shape {np.shape(scales)}"
+            )
+        code_scale, kernel_scale = map(float, scales)
         CF = np.take(K, f.indices, axis=0).T @ f.eigvecs  # (C E) U, as C is symmetric
         NH = Nm @ H
         code_sq = code_scale - 2.0 * float(np.einsum("ij,ij->j", F, CF) @ inv) + np.vdot(Nm, H)

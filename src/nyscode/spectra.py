@@ -6,6 +6,22 @@ diagonal maximum N * max_i C_ii. The singular values of a symmetric matrix
 are the absolute values of its eigenvalues, so symmetric input (every full
 code matrix is bit-exactly symmetric) takes them from ``eigvalsh``, which
 is cheaper than an SVD; any other input goes through the SVD.
+
+Leading spectrum. The effective rank k and the residual depend only on the
+top k singular values and on ||C||_F^2 = sum sigma^2: k is the first index
+where the cumulative sum of sigma_i^2 reaches ``energy`` of that total, and
+||C - C_k||_F^2 = ||C||_F^2 - sum_{i <= k} sigma_i^2. ``spectral_report``
+therefore takes only the leading eigenvalues of a symmetric C of order at
+least ``LEADING_MIN_N``, by block Krylov with Rayleigh-Ritz (Halko,
+Martinsson & Tropp 2011; Musco & Musco 2015): blocks of ``KRYLOV_BLOCK``
+columns from a fixed random start, each product C V orthogonalised twice
+against the basis, Ritz values from the ``eigh`` of the projected matrix
+V^T C V, ordered by |theta| since C is indefinite. It stops once each of the
+top k Ritz pairs has a residual ||C x - theta x|| of at most ``RITZ_TOL``
+times the largest |theta|. The one ``eigvalsh`` of C stays the exact path,
+taken when N is below the cutoff, when the basis would grow past N / 8
+columns (as at energy 1.0), and when the squared tail is below
+``TRACE_FLOOR`` of ||C||_F^2, where the subtraction would lose its digits.
 """
 
 from __future__ import annotations
@@ -15,11 +31,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import _matrix
+from .nystrom import TRACE_FLOOR
+
+# below this order one eigvalsh of C is faster than the Krylov iteration
+LEADING_MIN_N = 1024
+# columns added to the Krylov basis per product with C
+KRYLOV_BLOCK = 8
+# largest Ritz residual accepted, as a fraction of the largest |theta|
+RITZ_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
-    """Rank choice k, the corresponding residual, and the diagonal term."""
+    """Rank choice k, the corresponding residual, and the diagonal term.
+
+    ``singular_values`` holds the leading k singular values, descending, when
+    the report came from the leading spectrum, and all of them otherwise.
+    """
 
     k: int
     rank_k_residual: float
@@ -27,11 +55,15 @@ class SpectralReport:
     singular_values: np.ndarray
 
 
+def _is_symmetric(values: np.ndarray) -> bool:
+    square = values.ndim == 2 and values.shape[0] == values.shape[1]
+    return square and np.array_equal(values, values.T)
+
+
 def singular_values(C) -> np.ndarray:
     """Singular values of C, descending."""
     values = _matrix(C)
-    square = values.ndim == 2 and values.shape[0] == values.shape[1]
-    if square and np.array_equal(values, values.T):
+    if _is_symmetric(values):
         return np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
     return np.linalg.svd(values, compute_uv=False)
 
@@ -81,10 +113,57 @@ def effective_rank(C, energy: float = 0.95) -> int:
     return _energy_rank(singular_values(C), energy)
 
 
+def _leading_spectrum(values: np.ndarray, energy: float):
+    """(k, rank-k residual, top k singular values) of a symmetric matrix by block
+    Krylov, or None where the exact path must run (see the module docstring)."""
+    n, b = values.shape[0], KRYLOV_BLOCK
+    total = float(np.vdot(values, values))
+    cap = n // 8
+    V = np.empty((n, cap))
+    CV = np.empty((n, cap))
+    T = np.empty((cap, cap))  # V^T C V, filled one block column at a time
+    block = np.linalg.qr(np.random.default_rng(0).standard_normal((n, b)))[0]
+    m = 0
+    while m + b <= cap:
+        V[:, m : m + b] = block
+        CV[:, m : m + b] = values @ block
+        T[: m + b, m : m + b] = V[:, : m + b].T @ CV[:, m : m + b]
+        T[m : m + b, :m] = T[:m, m : m + b].T
+        m += b
+        theta, Y = np.linalg.eigh(T[:m, :m])  # reads the lower triangle
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, Y = theta[order], Y[:, order]
+        energies = np.cumsum(theta**2)
+        k = int(np.searchsorted(energies, energy * total, side="left")) + 1
+        if k <= m:
+            Yk = Y[:, :k]
+            R = CV[:, :m] @ Yk - V[:, :m] @ (Yk * theta[:k])
+            if np.max(np.linalg.norm(R, axis=0)) <= RITZ_TOL * abs(theta[0]):
+                tail_sq = total - energies[k - 1]
+                if tail_sq <= TRACE_FLOOR * total:  # a zero C lands here too
+                    return None
+                return k, float(np.sqrt(tail_sq)), np.abs(theta[:k])
+        # twice: once the Krylov space is (nearly) exhausted, the first pass leaves
+        # rounding noise or a rank-deficient block, whose QR basis is not yet
+        # orthogonal to V
+        block = CV[:, m - b : m]
+        for _ in range(2):
+            block = np.linalg.qr(block - V[:, :m] @ (V[:, :m].T @ block))[0]
+    return None
+
+
 def spectral_report(C, energy: float = 0.95) -> SpectralReport:
     """Assemble the bound inputs for C, with k the effective rank at ``energy``."""
     values = _matrix(C)
     diag_term = scaled_diag_max(values)
+    check_energy(energy)
+    if values.shape[0] >= LEADING_MIN_N and _is_symmetric(values):
+        leading = _leading_spectrum(values, energy)
+        if leading is not None:
+            k, residual, s = leading
+            return SpectralReport(
+                k=k, rank_k_residual=residual, scaled_diag_max=diag_term, singular_values=s
+            )
     s = singular_values(values)
     k = _energy_rank(s, energy)
     return SpectralReport(

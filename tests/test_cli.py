@@ -225,6 +225,34 @@ class TestConfigRejectedBeforeWork:
         assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
         assert shown in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, shown",
+        [
+            ("curve", dict(CURVE_CFG, lam=0), "config key 'lam' must be > 0, got 0"),
+            ("curve", dict(CURVE_CFG, lam=-2.5), "config key 'lam' must be > 0, got -2.5"),
+            ("curve", dict(CURVE_CFG, kmeans_iters=0),
+             "config key 'kmeans_iters' must be > 0, got 0"),
+            ("pdl", dict(PDL, image_size=32, lam=0), "config key 'lam' must be > 0, got 0"),
+            ("pdl", dict(PDL, kmeans_iters=0), "config key 'kmeans_iters' must be > 0, got 0"),
+        ],
+        ids=["curve-lam-zero", "curve-lam-negative", "curve-kmeans_iters-zero", "pdl-lam-zero",
+             "pdl-kmeans_iters-zero"],
+    )
+    def test_lam_and_kmeans_iters_checked_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                          command, payload, shown):
+        # these used to fail in train_ridge or kmeans, after the data, the full code
+        # matrix and its spectrum (or the K-means fits) were built
+        made = []
+        for name in ("synth_labeled_manifold", "synth_manifold", "synth_texture_images",
+                     "full_code"):
+            monkeypatch.setattr(harness, name, lambda *a, _n=name, **k: made.append(_n))
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert shown in err
+        assert "max_iters" not in err
+        assert made == []
+
 
 class TestNystromEvalCommand:
     def test_reports_coverage(self, tmp_path):

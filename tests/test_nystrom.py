@@ -14,6 +14,7 @@ from nyscode.nystrom import (
     decompose,
     reconstruct_code,
     reconstruct_kernel,
+    trace_scales,
 )
 from nyscode.spectra import singular_values
 
@@ -258,15 +259,15 @@ class TestBlockedResiduals:
         assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
 
     def test_no_n_by_n_temporary(self):
-        # given the spectrum and the kernel, scoring a sample builds no N x N matrix
+        # given the trace scales and the kernel, scoring a sample builds no N x N matrix
         n = 512
         C = _code(n, seed=1)
-        s = singular_values(C)
         K = gram_kernel(C)
+        scales = trace_scales(C, K)
         f = decompose(C, sample_indices(n, 64, 0))
         tracemalloc.start()
         try:
-            approximation_errors(C, f, s, K)
+            approximation_errors(C, f, scales, K)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,12 +298,12 @@ class TestTraceResiduals:
     @pytest.mark.parametrize("n, c", [(96, 8), (96, 48), (160, 80), (293, 64)])
     def test_matches_exact_path(self, n, c, monkeypatch):
         C = _code(n, seed=n)
-        s = singular_values(C)
         K = gram_kernel(C)
+        scales = trace_scales(C, K)
         calls = _count_exact(monkeypatch)
         for seed in range(3):
             f = decompose(C, sample_indices(n, c, seed))
-            trace = approximation_errors(C, f, s, K)
+            trace = approximation_errors(C, f, scales, K)
             assert not calls
             exact = approximation_errors(C, f, K=K)
             calls.clear()
@@ -313,11 +314,11 @@ class TestTraceResiduals:
     def test_near_singular_w_with_error_above_norm(self, seed, monkeypatch):
         n = 160
         C = _code(n, seed, gap=1e-4)
-        s = singular_values(C)
         K = gram_kernel(C)
+        scales = trace_scales(C, K)
         f = decompose(C, np.concatenate([[0, 1], 2 + sample_indices(n - 2, 62, seed)]))
         calls = _count_exact(monkeypatch)
-        trace = approximation_errors(C, f, s, K)
+        trace = approximation_errors(C, f, scales, K)
         assert not calls
         exact = approximation_errors(C, f, K=K)
         assert abs(f.eigvals[0] / f.eigvals[-1]) > 1e7
@@ -330,7 +331,7 @@ class TestTraceResiduals:
         C = _code(n, seed=2)
         K = gram_kernel(C)
         calls = _count_exact(monkeypatch)
-        errs = approximation_errors(C, decompose(C, np.arange(n)), singular_values(C), K)
+        errs = approximation_errors(C, decompose(C, np.arange(n)), trace_scales(C, K), K)
         assert len(calls) == 1 and calls[0] is K
         assert errs.code_err <= 1e-9 * np.linalg.norm(C.values)
         assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
@@ -345,7 +346,7 @@ class TestTraceResiduals:
             C = (C + C.T) / 2.0
             idx = _spanning_columns(C, r, r)
             K = C @ C
-            errs = approximation_errors(C, decompose(C, idx), singular_values(C), K)
+            errs = approximation_errors(C, decompose(C, idx), trace_scales(C, K), K)
             assert errs.code_err <= 1e-8 * np.linalg.norm(C)
             assert errs.kernel_err <= 1e-7 * np.linalg.norm(K)
         assert len(calls) == 4
@@ -355,23 +356,23 @@ class TestTraceResiduals:
         # the second the code residual; a floor between the two falls back in both
         n = 96
         C = _code(n, seed=n)
-        s = singular_values(C)
         K = gram_kernel(C)
+        scales = trace_scales(C, K)
         calls = _count_exact(monkeypatch)
         smaller = []
         for seed in (0, 1):
             f = decompose(C, sample_indices(n, 48, seed))
             exact = approximation_errors(C, f, K=K)
             ratios = {
-                "code": exact.code_err**2 / np.sum(s**2),
-                "kernel": exact.kernel_err**2 / np.sum(s**4),
+                "code": exact.code_err**2 / scales[0],
+                "kernel": exact.kernel_err**2 / scales[1],
             }
             lo, hi = sorted(ratios.values())
             smaller.append(min(ratios, key=ratios.get))
             for floor, fallback in [(0.99 * lo, False), (np.sqrt(lo * hi), True)]:
                 monkeypatch.setattr(nystrom, "TRACE_FLOOR", floor)
                 calls.clear()
-                approximation_errors(C, f, s, K)
+                approximation_errors(C, f, scales, K)
                 assert bool(calls) == fallback
         assert smaller == ["kernel", "code"]
 
@@ -382,15 +383,28 @@ class TestTraceResiduals:
             exact = approximation_errors(C, decompose(C, sample_indices(128, c, 0)))
             assert exact.code_err**2 > 100 * TRACE_FLOOR * np.sum(s**2)
 
-    def test_spectrum_length_checked(self):
+    def test_scales_are_spectral_sums(self):
+        # ||C||_F^2 = sum sigma^2 and ||K||_F^2 = sum sigma^4 over the singular values of C
+        C = _code(96, seed=4)
+        s = singular_values(C)
+        code_scale, kernel_scale = trace_scales(C, gram_kernel(C))
+        assert code_scale == pytest.approx(np.sum(s**2), rel=1e-12)
+        assert kernel_scale == pytest.approx(np.sum(s**4), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scales",
+        [np.ones(20), (1.0,), (1.0, 2.0, 3.0), np.ones((2, 2))],
+        ids=["spectrum", "one", "three", "2x2"],
+    )
+    def test_scales_checked(self, scales):
         C = _code(20, seed=0)
-        with pytest.raises(ValueError, match="singular values"):
-            approximation_errors(C, decompose(C, [0, 1]), np.ones(19))
+        with pytest.raises(ValueError, match="scales must be the pair"):
+            approximation_errors(C, decompose(C, [0, 1]), scales)
 
     @pytest.mark.parametrize("shape", [(19, 19), (20, 19), (20,), (20, 20, 1)])
     def test_kernel_shape_checked(self, shape):
         C = _code(20, seed=0)
         f = decompose(C, [0, 1])
-        for s in (None, singular_values(C)):
+        for scales in (None, trace_scales(C, gram_kernel(C))):
             with pytest.raises(ValueError, match="kernel"):
-                approximation_errors(C, f, s, np.ones(shape))
+                approximation_errors(C, f, scales, np.ones(shape))

@@ -6,6 +6,7 @@ from nyscode.data import DataMatrix, normalize_columns, synth_manifold
 from nyscode.harness import CurveConfig, _curve_dataset, _split
 from nyscode.spectra import (
     _energy_rank,
+    _tail_norm,
     effective_rank,
     rank_k_residual,
     scaled_diag_max,
@@ -171,3 +172,126 @@ def test_report_k_matches_svd_on_acceptance_data(which):
     C = _acceptance_code(which)
     svd_k = _energy_rank(np.linalg.svd(C.values, compute_uv=False), 0.95)
     assert spectral_report(C, energy=0.95).k == svd_k
+
+
+def _curve_diag_code():
+    # the full code matrix of the curve-diag benchmark config: N_train = 2000
+    cfg = CurveConfig(c_grid=[16, 32, 64], seeds=[0], n_samples=2500, noise=0.15,
+                      class_sep=1.6, within=0.9, modes_per_class=4, alpha=0.25)
+    data = _curve_dataset(cfg).data
+    train_idx, _ = _split(data.N, cfg.split_fraction, cfg.split_seed)
+    return full_code(DataMatrix(data.values[:, train_idx]), 0.25).values
+
+
+@pytest.fixture(scope="module")
+def curve_diag():
+    """(C, all its singular values): the spectrum is the oracle behind
+    effective_rank and rank_k_residual, taken once for the module."""
+    C = _curve_diag_code()
+    return C, singular_values(C)
+
+
+def _symmetric(eigvals, seed, n=None):
+    """An exactly symmetric n x n matrix with the given nonzero eigenvalues
+    (n defaults to their count) and random eigenvectors."""
+    n = len(eigvals) if n is None else n
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, len(eigvals))))[0]
+    A = (Q * eigvals) @ Q.T
+    return (A + A.T) / 2.0
+
+
+def _eigvalsh_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+class TestLeadingSpectrum:
+    # energy -> whether the leading path runs; at 0.99 (k = 70) the basis would
+    # pass N / 8 = 250 columns, so it falls back to the exact path
+    @pytest.mark.parametrize("energy, leading", [(0.5, True), (0.95, True), (0.99, False)])
+    def test_matches_full_spectrum_on_curve_diag(self, curve_diag, energy, leading):
+        C, s = curve_diag
+        rep = spectral_report(C, energy=energy)
+        k = _energy_rank(s, energy)
+        assert rep.k == k
+        assert rep.rank_k_residual == pytest.approx(_tail_norm(s, k), rel=1e-10)
+        assert len(rep.singular_values) == (k if leading else C.shape[0])
+        assert np.all(np.diff(rep.singular_values) <= 0)
+        assert np.max(np.abs(rep.singular_values[:k] - s[:k])) <= 1e-10 * s[0]
+
+    def test_largest_eigenvalue_negative(self):
+        lam = np.concatenate([[-50.0, 30.0, -20.0, 12.0], 0.5 * np.cos(np.arange(1020))])
+        C = _symmetric(lam, seed=0)
+        rep = spectral_report(C, energy=0.95)
+        assert np.linalg.eigvalsh(C)[0] == pytest.approx(-50.0)
+        assert rep.k == effective_rank(C, 0.95) == 4
+        assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 4), rel=1e-10)
+        assert len(rep.singular_values) == 4
+        assert rep.singular_values[0] == pytest.approx(50.0, rel=1e-12)
+
+    def test_full_energy_takes_exact_path(self, curve_diag, monkeypatch):
+        C, s = curve_diag
+        calls = _eigvalsh_calls(monkeypatch)
+        rep = spectral_report(C, energy=1.0)
+        assert calls == [C.shape]
+        assert rep.k == _energy_rank(s, 1.0)
+        assert rep.rank_k_residual == _tail_norm(s, rep.k)
+        assert len(rep.singular_values) == C.shape[0]
+
+    def test_rank_deficient_takes_exact_path(self, monkeypatch):
+        # rank 6 with equal eigenvalues: k = 6 and the rank-k tail is zero, below
+        # TRACE_FLOOR of ||C||_F^2, where the subtraction would lose its digits
+        n = 1024
+        C = _symmetric(np.ones(6), seed=1, n=n)
+        calls = _eigvalsh_calls(monkeypatch)
+        rep = spectral_report(C, energy=0.95)
+        assert calls == [(n, n)]
+        assert rep.k == effective_rank(C, 0.95) == 6
+        assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 6), abs=1e-12)
+        assert len(rep.singular_values) == n
+
+    @pytest.mark.parametrize("rank, energy", [(6, 0.6), (20, 0.9)])
+    def test_low_rank_with_a_tail_takes_leading_path(self, rank, energy):
+        # the Krylov space is exhausted after a block or two; the later blocks
+        # must still come out orthogonal to the basis
+        C = _symmetric(np.linspace(1.0, 3.0, rank), seed=rank, n=1024)
+        rep = spectral_report(C, energy=energy)
+        k = effective_rank(C, energy)
+        assert rep.k == k
+        assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, k), rel=1e-10)
+        assert len(rep.singular_values) == k
+
+    def test_reruns_are_bit_identical(self, curve_diag):
+        C, _ = curve_diag
+        a, b = spectral_report(C, energy=0.95), spectral_report(C.copy(), energy=0.95)
+        assert (a.k, a.rank_k_residual) == (b.k, b.rank_k_residual)
+        assert a.singular_values.tobytes() == b.singular_values.tobytes()
+
+    def test_leading_path_skips_eigvalsh(self, curve_diag, monkeypatch):
+        C, _ = curve_diag
+        calls = _eigvalsh_calls(monkeypatch)
+        rep = spectral_report(C, energy=0.95)
+        assert calls == []
+        assert rep.k == 14
+
+    def test_small_matrix_uses_eigvalsh(self, monkeypatch):
+        C = _acceptance_code("nys3-k4")
+        calls = _eigvalsh_calls(monkeypatch)
+        rep = spectral_report(C, energy=0.95)
+        assert calls == [(256, 256)]
+        assert len(rep.singular_values) == 256
+
+    def test_non_symmetric_uses_svd(self, monkeypatch):
+        C = _symmetric(np.linspace(1.0, 2.0, 1024), seed=2)
+        C[0, 1] += 1e-3
+        calls = TestSingularValues._spy(monkeypatch)
+        rep = spectral_report(C, energy=0.95)
+        assert calls == ["svd"]
+        assert len(rep.singular_values) == 1024
