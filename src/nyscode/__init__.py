@@ -1,9 +1,9 @@
 """Subsampled-dictionary feature coding and its low-rank reconstruction view.
 
-Encodes data with rectified similarities to a codebook, reconstructs the ideal
-code and kernel matrices from the sampled columns, evaluates Frobenius error
-bounds, fits two-point saturation models to predict accuracy at larger
-codebook sizes, and prunes overshoot dictionaries by their pooled responses.
+Encodes data with rectified similarities to a codebook, scores the Nystrom
+reconstruction of the ideal code and kernel matrices from sampled columns,
+evaluates Frobenius error bounds, fits two-point saturation models to predict
+accuracy at larger sizes, and prunes overshoot dictionaries by pooled responses.
 """
 
 from .bounds import (
@@ -21,9 +21,7 @@ from .data import (
     FormatError,
     LabeledDataset,
     PatchGrid,
-    extract_patches,
     extract_patches_stack,
-    load_cifar10_binary,
     load_csv,
     normalize_columns,
     save_csv,
@@ -31,7 +29,7 @@ from .data import (
     synth_manifold,
     synth_texture_images,
 )
-from .dictionary import KMeansResult, covering_radius, kcenters, kmeans, sample_indices
+from .dictionary import KMeansResult, kcenters, kmeans, sample_indices
 from .harness import (
     CurveConfig,
     CurvePoint,
@@ -48,11 +46,9 @@ from .nystrom import (
     NystromFactors,
     approximation_errors,
     decompose,
-    reconstruct_code,
-    reconstruct_kernel,
     trace_scales,
 )
 from .pooling import pdl, pool
-from .spectra import SpectralReport, effective_rank, rank_k_residual, scaled_diag_max, spectral_report
+from .spectra import SpectralReport, rank_k_residual, scaled_diag_max, spectral_report
 
 __version__ = "0.1.0"

@@ -42,16 +42,6 @@ class SaturationModel:
     fit_points: tuple[FitPoint, FitPoint]
     flagged: bool = False
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SaturationModel":
-        return cls(
-            offset=float(d["offset"]),
-            slope=float(d["slope"]),
-            form=d["form"],
-            fit_points=tuple((float(c), float(v)) for c, v in d["fit_points"]),
-            flagged=bool(d.get("flagged", False)),
-        )
-
 
 def epsilon_min(c: int, k: int) -> float:
     """Smallest eps admitted by the sampling condition at equality: (64 k / c)^(1/4)."""

@@ -57,17 +57,12 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
 
 
 def predict(model: LinearModel, C: CodeMatrix) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(scores(model, C), axis=1)
-
-
-def scores(model: LinearModel, C: CodeMatrix) -> np.ndarray:
-    """Raw per-class scores (N x L)."""
+    """Argmax class per row of the scores C W + b; ties resolve to the lowest class index."""
     if C.c != model.weights.shape[0]:
         raise ValueError(
             f"feature dim mismatch: codes have c={C.c}, model expects {model.weights.shape[0]}"
         )
-    return C.values @ model.weights + model.bias
+    return np.argmax(C.values @ model.weights + model.bias, axis=1)
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -23,6 +23,7 @@ from .harness import (
     CurveConfig,
     NystromEvalConfig,
     PdlConfig,
+    check_alpha,
     emit,
     run_curve,
     run_nystrom_eval,
@@ -121,6 +122,7 @@ def _cmd_config(args) -> None:
 
 def _cmd_encode(args) -> None:
     ds = load_csv(args.data, has_labels=args.labels, header=args.header)
+    check_alpha(ds.data, args.alpha)
     idx = sample_indices(ds.data.N, args.c, args.seed)
     D = Dictionary(ds.data.values[:, idx])
     codes = encode(ds.data, D, args.alpha)

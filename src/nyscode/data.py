@@ -1,8 +1,8 @@
-"""Dataset construction: synthetic generators, patch extraction, normalization, loaders,
-and the one CSV renderer of the program's tables.
+"""Dataset construction: synthetic generators, patch extraction, normalization, the CSV
+loader, and the one CSV renderer of the program's tables.
 
 All data lives in column-per-sample orientation: a matrix has shape (d, N)
-with one sample per column. Loaders transpose row-per-sample files on read.
+with one sample per column. ``load_csv`` transposes its row-per-sample file on read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class FormatError(Exception):
-    """A data file violates its declared format (bad field, ragged row, truncation)."""
+    """A data file violates its declared format (bad field, ragged row, empty file)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,21 +182,12 @@ def synth_texture_images(
     return images, labels
 
 
-def extract_patches(image: np.ndarray, patch: int, stride: int) -> PatchGrid:
-    """Cut a single image into flattened square patches.
-
-    Accepts (h, w) or (h, w, channels) arrays. Patches start at top-left
-    offsets {0, stride, 2*stride, ...} that fit fully inside the image and are
-    flattened row-major with the channel index varying fastest.
-    """
-    image = np.asarray(image, dtype=float)
-    if image.ndim not in (2, 3):
-        raise ValueError(f"image must be 2-D or 3-D, got ndim={image.ndim}")
-    return _patch_grid(image[None], patch, stride)
-
-
 def extract_patches_stack(images: np.ndarray, patch: int, stride: int) -> PatchGrid:
-    """Apply ``extract_patches`` to a stack of images shaped (n, h, w[, channels])."""
+    """Cut a stack of images shaped (n, h, w[, channels]) into flattened square patches.
+
+    Patches start at the offsets {0, stride, 2*stride, ...} that fit inside an image and are
+    flattened row-major, channel index fastest; a single image is the stack ``image[None]``.
+    """
     images = np.asarray(images, dtype=float)
     if images.ndim not in (3, 4):
         raise ValueError(f"image stack must be 3-D or 4-D, got ndim={images.ndim}")
@@ -320,27 +311,3 @@ def _csv_field(x) -> str:
         return str(int(x))
     return format(float(x), ".17g")
 
-
-CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 channel-major 32x32 pixel planes
-CIFAR_CLASSES = 10
-
-
-def load_cifar10_binary(path) -> LabeledDataset:
-    """Load a CIFAR-10 binary batch file.
-
-    Each 3073-byte record is one label byte followed by 3072 pixel bytes in
-    channel-major order (full R plane, then G, then B; each plane row-major
-    32x32). Pixels are scaled to [0, 1]; column layout keeps the byte order,
-    so feature index = channel*1024 + row*32 + col.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-        raise FormatError(
-            f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}"
-        )
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 0].astype(int)
-    if labels.max() >= CIFAR_CLASSES:
-        raise FormatError(f"{path}: label byte {labels.max()} out of range 0..9")
-    values = records[:, 1:].T.astype(float) / 255.0
-    return LabeledDataset(DataMatrix(values), labels, CIFAR_CLASSES)

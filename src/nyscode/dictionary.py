@@ -1,11 +1,11 @@
 """Codebook formation: uniform column sampling, K-means, and greedy K-centers.
 
-Exact-arithmetic contract: ``kmeans``, ``kcenters`` and ``covering_radius``
-return the same bits as their plain forms, which evaluate the full distance
-matrix ``max((‖p‖² − 2 p·c) + ‖c‖², 0)`` twice per Lloyd step, take each
-centroid as ``pts[assign == j].mean(axis=0)``, and lower the running
-min-distance by ``((pts − x)**2).sum(1)`` over every point for each new
-seed or center. The work saved never changes a rounding:
+Exact-arithmetic contract: ``kmeans`` and ``kcenters`` return the same bits
+as their plain forms, which evaluate the full distance matrix
+``max((‖p‖² − 2 p·c) + ‖c‖², 0)`` twice per Lloyd step, take each centroid
+as ``pts[assign == j].mean(axis=0)``, and lower the running min-distance by
+``((pts − x)**2).sum(1)`` over every point for each new seed or center.
+The work saved never changes a rounding:
 
 * squared point norms are computed once per call, and one Lloyd step makes
   one N x c distance matrix: a matmul and three in-place passes over
@@ -51,10 +51,6 @@ class KMeansResult:
     dictionary: Dictionary
     centroids: np.ndarray
     history: list[float]
-
-    @property
-    def objective(self) -> float:
-        return self.history[-1]
 
     @property
     def iterations(self) -> int:
@@ -249,12 +245,3 @@ def kcenters(F: np.ndarray, c: int, seed: int, first: int | None = None) -> list
         _lower_min_sq_dists(F, F_sq, F[nxt], d2)
     return selected
 
-
-def covering_radius(F: np.ndarray, selected: list[int]) -> float:
-    """Max over rows of the distance to the nearest selected row."""
-    F = np.asarray(F, dtype=float)
-    F_sq = (F**2).sum(axis=1)
-    d2 = np.full(F.shape[0], np.inf)
-    for s in selected:
-        _lower_min_sq_dists(F, F_sq, F[s], d2)
-    return float(np.sqrt(d2.max()))

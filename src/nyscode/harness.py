@@ -153,7 +153,7 @@ class CurveConfig(_Config):
 class PdlConfig(_Config):
     """Parameters of an overshoot-and-prune dictionary comparison."""
 
-    _POSITIVE = ("lam", "kmeans_iters")
+    _POSITIVE = ("lam", "kmeans_iters", "classes", "images_per_class", "patch", "stride")
 
     final_c_grid: list[int]
     overshoots: list[int]
@@ -254,11 +254,18 @@ class ExperimentReport:
     created_at: str = field(default_factory=_now)
 
 
-def _split(N: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_split(fraction: float) -> None:
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"split_fraction must be in (0, 1), got {fraction}")
+
+
+def _n_train(N: int, fraction: float) -> int:
+    return min(max(int(round(fraction * N)), 1), N - 1)
+
+
+def _split(N: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     perm = np.random.default_rng(seed).permutation(N)
-    n_train = min(max(int(round(fraction * N)), 1), N - 1)
+    n_train = _n_train(N, fraction)
     return perm[:n_train], perm[n_train:]
 
 
@@ -282,14 +289,14 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
     return LabeledDataset(normalize_columns(ds.data, cfg.normalize), ds.labels, ds.n_classes)
 
 
-def _check_alpha(X: DataMatrix, alpha: float) -> None:
-    """Reject an alpha that zeroes the whole code matrix max(0, X^T X - alpha).
+def check_alpha(X: DataMatrix, alpha: float) -> None:
+    """Reject an alpha that zeroes the whole code matrix max(0, X^T X - alpha), or NaN.
 
     By Cauchy-Schwarz the largest entry of X^T X is the largest squared
     column norm, so the test needs no N x N matrix.
     """
     top = float(np.max(np.sum(X.values**2, axis=0)))
-    if alpha >= top:
+    if not alpha < top:
         raise ValueError(
             f"code matrix is all zero: alpha={alpha} is not below the largest "
             f"pairwise similarity {top:.6g}"
@@ -354,6 +361,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     if not cfg.seeds:
         raise ValueError("seeds must be non-empty")
     check_energy(cfg.energy)
+    _check_split(cfg.split_fraction)
 
     dataset = _curve_dataset(cfg)
     train_idx, test_idx = _split(dataset.data.N, cfg.split_fraction, cfg.split_seed)
@@ -364,7 +372,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     yte = dataset.labels[test_idx]
     n_train = Xtr.N
     lam = cfg.lam if cfg.lam is not None else 1e-3 * n_train
-    _check_alpha(Xtr, cfg.alpha)
+    check_alpha(Xtr, cfg.alpha)
 
     kept = [c for c in grid if c <= n_train]
     warnings = [f"skipped c={c}: exceeds training set size {n_train}" for c in grid if c > n_train]
@@ -458,6 +466,12 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
             raise ValueError(f"{key} values must be >= 1, got {values[0]}")
     if overshoots[0] != 1:
         raise ValueError("overshoots must include 1 (the baseline)")
+    _check_split(cfg.split_fraction)
+    side = (cfg.image_size - cfg.patch) // cfg.stride + 1  # the patch grid, from the config alone
+    check_regions((side, side), cfg.regions)
+    train_patches = _n_train(cfg.classes * cfg.images_per_class, cfg.split_fraction) * side**2
+    if final_cs[-1] * overshoots[-1] > train_patches:
+        raise ValueError(f"final_c_grid x overshoots exceeds the {train_patches} patches")
 
     images, labels = synth_texture_images(
         cfg.images_per_class,
@@ -471,9 +485,6 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
     train_idx, test_idx = _split(len(images), cfg.split_fraction, cfg.split_seed)
     grid_tr = _normalized_patches(images[train_idx], cfg)
     grid_te = _normalized_patches(images[test_idx], cfg)
-    check_regions((grid_tr.grid_rows, grid_tr.grid_cols), cfg.regions)
-    if final_cs[-1] * overshoots[-1] > grid_tr.patches.N:
-        raise ValueError(f"final_c_grid x overshoots exceeds the {grid_tr.patches.N} patches")
     ytr = labels[train_idx]
     yte = labels[test_idx]
     lam = cfg.lam if cfg.lam is not None else 1e-3 * len(train_idx)
@@ -519,6 +530,7 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     """Measure how often the evaluated bound covers the observed code error."""
     if not cfg.c_grid or not cfg.seeds or not cfg.k_list:
         raise ValueError("c_grid, seeds, and k_list must be non-empty")
+    check_energy(cfg.energy)
     for c in cfg.c_grid:
         if not 1 <= c <= cfg.n_samples:
             raise ValueError(f"need 1 <= c <= N, got c={c}, N={cfg.n_samples}")
@@ -530,7 +542,7 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     for k in sorted(set(cfg.k_list)):
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
-        _check_alpha(Xn, cfg.alpha)
+        check_alpha(Xn, cfg.alpha)
         C = full_code(Xn, cfg.alpha)
         rep = spectral_report(C, energy=cfg.energy)
         spectral[str(k)] = _spectral_summary(rep)

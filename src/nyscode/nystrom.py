@@ -13,9 +13,9 @@ frequently singular; it reduces to the inverse when W is invertible.
 
 Eigenpairs. ``decompose`` requires W to equal its transpose exactly and takes
 one ``eigh`` of it. The eigenpairs with |lambda| above ``PINV_TOL`` times the
-largest are kept in ``NystromFactors``, ordered by decreasing |lambda|, and
-W^+ = U diag(1/lambda) U^T is derived from them. Everything downstream works
-in that eigenbasis: with F = E U (N x r), H = F^T F and
+largest are kept in ``NystromFactors``, ordered by decreasing |lambda|, so
+W^+ = U diag(1/lambda) U^T over them. Everything downstream works in that
+eigenbasis: with F = E U (N x r), H = F^T F and
 Nm = diag(1/lambda) H diag(1/lambda) = U^T M U,
 
     C_hat = F diag(1/lambda) F^T,  K_hat = F Nm F^T.
@@ -55,7 +55,6 @@ fallback never rebuilds it. A call given no K builds it once, for that call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +78,6 @@ class NystromFactors:
     E: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-
-    @property
-    def W(self) -> np.ndarray:
-        """The sampled block C[indices, indices], E restricted to the sampled rows."""
-        return self.E[self.indices]
-
-    @cached_property
-    def W_pinv(self) -> np.ndarray:
-        """The pseudo-inverse of W, U diag(1/lambda) U^T over the kept eigenpairs."""
-        return (self.eigvecs / self.eigvals) @ self.eigvecs.T
 
 
 def decompose(C, indices) -> NystromFactors:
@@ -117,28 +106,6 @@ def decompose(C, indices) -> NystromFactors:
     order = np.argsort(mag)[::-1]
     kept = order[mag[order] > PINV_TOL * mag[order[0]]]
     return NystromFactors(indices=idx, E=E, eigvals=lam[kept], eigvecs=U[:, kept])
-
-
-def _eigen_factors(f: NystromFactors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """F = E U, 1/lambda, H = F^T F and Nm = diag(1/lambda) H diag(1/lambda): the
-    factors of C_hat = F diag(1/lambda) F^T and K_hat = F Nm F^T in the
-    eigenbasis U of W (see the module docstring)."""
-    F = f.E @ f.eigvecs
-    inv = 1.0 / f.eigvals
-    H = F.T @ F
-    return F, inv, H, H * np.outer(inv, inv)
-
-
-def reconstruct_code(f: NystromFactors) -> np.ndarray:
-    """Approximate the full code matrix: E W^+ E^T (N x N)."""
-    F, inv, _, _ = _eigen_factors(f)
-    return (F * inv) @ F.T
-
-
-def reconstruct_kernel(f: NystromFactors) -> np.ndarray:
-    """Approximate the kernel C C^T from the factors alone: E M E^T (N x N)."""
-    F, _, _, Nm = _eigen_factors(f)
-    return F @ Nm @ F.T
 
 
 @dataclass(frozen=True)
@@ -171,7 +138,11 @@ def approximation_errors(C, f: NystromFactors, scales=None, K=None) -> Approxima
         K = gram_kernel(values)
     elif np.shape(K) != (n, n):
         raise ValueError(f"K must be the {n} x {n} kernel C C^T, got shape {np.shape(K)}")
-    F, inv, H, Nm = _eigen_factors(f)
+    # C_hat = F diag(1/lambda) F^T and K_hat = F Nm F^T in the eigenbasis U of W
+    F = f.E @ f.eigvecs
+    inv = 1.0 / f.eigvals
+    H = F.T @ F
+    Nm = H * np.outer(inv, inv)
     if scales is not None:
         if np.shape(scales) != (2,):
             raise ValueError(

@@ -20,8 +20,9 @@ V^T C V, ordered by |theta| since C is indefinite. It stops once each of the
 top k Ritz pairs has a residual ||C x - theta x|| of at most ``RITZ_TOL``
 times the largest |theta|. The one ``eigvalsh`` of C stays the exact path,
 taken when N is below the cutoff, when the basis would grow past N / 8
-columns (as at energy 1.0), and when the squared tail is below
-``TRACE_FLOOR`` of ||C||_F^2, where the subtraction would lose its digits.
+columns, and when the squared tail is below ``TRACE_FLOOR`` of ||C||_F^2,
+where the subtraction would lose its digits. That tail is at most (1 - energy)
+||C||_F^2, so an energy within the floor of 1 (as 1.0) never starts the iteration.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def scaled_diag_max(C) -> float:
     return float(values.shape[0] * np.max(np.diag(values)))
 
 
-def effective_rank(C, energy: float = 0.95) -> int:
-    """Smallest k whose top-k squared singular values retain ``energy`` of the total."""
-    return _energy_rank(singular_values(C), energy)
-
-
 def _leading_spectrum(values: np.ndarray, energy: float):
     """(k, rank-k residual, top k singular values) of a symmetric matrix by block
     Krylov, or None where the exact path must run (see the module docstring)."""
@@ -157,7 +153,7 @@ def spectral_report(C, energy: float = 0.95) -> SpectralReport:
     values = _matrix(C)
     diag_term = scaled_diag_max(values)
     check_energy(energy)
-    if values.shape[0] >= LEADING_MIN_N and _is_symmetric(values):
+    if 1.0 - energy > TRACE_FLOOR and values.shape[0] >= LEADING_MIN_N and _is_symmetric(values):
         leading = _leading_spectrum(values, energy)
         if leading is not None:
             k, residual, s = leading

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nyscode.classifier import LinearModel, accuracy, predict, scores, train_ridge
+from nyscode.classifier import LinearModel, accuracy, predict, train_ridge
 from nyscode.coding import CodeMatrix
 
 
@@ -36,7 +36,7 @@ class TestTrainRidge:
         C = _codes(np.abs(rng.standard_normal((40, 6))))
         labels = np.arange(40) % 2
         model = train_ridge(C, labels, 2, lam=1e9)
-        assert np.abs(scores(model, C)).max() < 1e-6
+        assert np.abs(C.values @ model.weights + model.bias).max() < 1e-6
 
     def test_huge_lambda_unbalanced_collapses_to_majority(self):
         rng = np.random.default_rng(1)
@@ -168,12 +168,13 @@ class TestPredict:
         rng = np.random.default_rng(5)
         model = LinearModel(weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(4))
         C = _codes(np.abs(rng.standard_normal((6, 3))))
-        got = scores(model, C)
-        for i in range(6):
-            for l in range(4):
-                expected = sum(C.values[i, j] * model.weights[j, l] for j in range(3))
-                expected += model.bias[l]
-                assert got[i, l] == pytest.approx(expected, rel=1e-12)
+        # predict takes the argmax of the scores C W + b, here summed entry by entry
+        expected = [
+            [sum(C.values[i, j] * model.weights[j, l] for j in range(3)) + model.bias[l]
+             for l in range(4)]
+            for i in range(6)
+        ]
+        assert np.array_equal(predict(model, C), np.argmax(expected, axis=1))
 
     def test_argmax_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(6)

@@ -153,7 +153,7 @@ class TestConfigRejectedBeforeWork:
         calls = []
         for module, name in [(harness, "full_code"), (harness, "pdl"), (harness, "kmeans"),
                              (pooling, "kmeans"), (harness, "synth_labeled_manifold"),
-                             (harness, "synth_manifold")]:
+                             (harness, "synth_manifold"), (harness, "synth_texture_images")]:
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k)
@@ -175,9 +175,15 @@ class TestConfigRejectedBeforeWork:
             ("curve", dict(CURVE_CFG, dict_source="kmean"), "dict_source"),
             ("curve", dict(CURVE_CFG, dataset="pickle"), "dataset"),
             ("nystrom-eval", {"c_grid": [4], "seeds": [0], "normalize": "l2"}, "normalize"),
+            ("nystrom-eval", {"c_grid": [4], "seeds": [0], "energy": 1.5},
+             "energy must be in (0, 1], got 1.5"),
+            ("curve", dict(CURVE_CFG, split_fraction=1.0),
+             "split_fraction must be in (0, 1), got 1.0"),
+            ("pdl", dict(PDL, split_fraction=0.0), "split_fraction must be in (0, 1), got 0.0"),
         ],
         ids=["c_grid-zero", "overshoot-too-large", "final_c-zero", "regions-too-large",
-             "overshoot-zero", "pool_op", "dict_source", "dataset", "normalize"],
+             "overshoot-zero", "pool_op", "dict_source", "dataset", "normalize", "energy",
+             "curve-split_fraction", "pdl-split_fraction"],
     )
     def test_exits_2_naming_key_before_any_fit(self, tmp_path, capsys, spies, command,
                                                  payload, named):
@@ -234,9 +240,13 @@ class TestConfigRejectedBeforeWork:
              "config key 'kmeans_iters' must be > 0, got 0"),
             ("pdl", dict(PDL, image_size=32, lam=0), "config key 'lam' must be > 0, got 0"),
             ("pdl", dict(PDL, kmeans_iters=0), "config key 'kmeans_iters' must be > 0, got 0"),
+            # the patch grid is worked out from these before any data; patch 0 used to
+            # crash with ZeroDivisionError in synth_texture_images
+            ("pdl", dict(PDL, patch=0), "config key 'patch' must be > 0, got 0"),
+            ("pdl", dict(PDL, stride=0), "config key 'stride' must be > 0, got 0"),
         ],
         ids=["curve-lam-zero", "curve-lam-negative", "curve-kmeans_iters-zero", "pdl-lam-zero",
-             "pdl-kmeans_iters-zero"],
+             "pdl-kmeans_iters-zero", "pdl-patch-zero", "pdl-stride-zero"],
     )
     def test_lam_and_kmeans_iters_checked_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                           command, payload, shown):
@@ -317,6 +327,19 @@ class TestEncodeCommand:
             cli.main(["encode", "--data", str(tmp_path / "nope.csv"), "--c", "1"])
             == cli.EXIT_ARGUMENT
         )
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e300"])
+    def test_alpha_not_below_top_similarity_exits_2(self, tmp_path, capsys, alpha):
+        # inf and 1e300 used to write an all-zero code matrix, and nan failed later
+        # with a message naming neither the flag nor its value
+        data = tmp_path / "data.csv"
+        cli.main(["synth", "--d", "4", "--k", "2", "--n", "10", "--out", str(data)])
+        out = tmp_path / "codes.csv"
+        argv = ["encode", "--data", str(data), "--labels", "--c", "3", "--alpha", alpha,
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_ARGUMENT
+        assert f"alpha={float(alpha)} is not below" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_c_larger_than_dataset_exits_2(self, tmp_path):
         data = tmp_path / "data.csv"

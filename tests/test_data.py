@@ -8,9 +8,7 @@ from nyscode.data import (
     FormatError,
     LabeledDataset,
     csv_text,
-    extract_patches,
     extract_patches_stack,
-    load_cifar10_binary,
     load_csv,
     normalize_columns,
     save_csv,
@@ -97,18 +95,18 @@ def test_negative_noise_rejected(generate):
 class TestExtractPatches:
     def test_exact_tiling(self):
         img = np.arange(16.0).reshape(4, 4)
-        g = extract_patches(img, patch=2, stride=2)
+        g = extract_patches_stack(img[None], patch=2, stride=2)
         assert (g.grid_rows, g.grid_cols, g.patches.N) == (2, 2, 4)
 
     def test_whole_image_single_patch(self):
         img = np.arange(9.0).reshape(3, 3)
-        g = extract_patches(img, patch=3, stride=1)
+        g = extract_patches_stack(img[None], patch=3, stride=1)
         assert g.patches.N == 1
         assert np.array_equal(g.patches.values[:, 0], img.reshape(-1))
 
     def test_overlapping_patch_content(self):
         img = np.arange(25.0).reshape(5, 5)
-        g = extract_patches(img, patch=2, stride=1)
+        g = extract_patches_stack(img[None], patch=2, stride=1)
         assert g.patches.N == 16
         # patch at grid position (1, 2) must equal the sub-block at offset (1, 2)
         col = 1 * g.grid_cols + 2
@@ -120,26 +118,26 @@ class TestExtractPatches:
         img[0, 1] = [4, 5, 6]
         img[1, 0] = [7, 8, 9]
         img[1, 1] = [10, 11, 12]
-        g = extract_patches(img, patch=2, stride=1)
+        g = extract_patches_stack(img[None], patch=2, stride=1)
         assert np.array_equal(g.patches.values[:, 0], np.arange(1.0, 13.0))
 
     @pytest.mark.parametrize("h,w,patch,stride", [(7, 9, 3, 2), (6, 6, 2, 3), (5, 8, 4, 1)])
     def test_patch_count_formula(self, h, w, patch, stride):
         img = np.random.default_rng(0).standard_normal((h, w))
-        g = extract_patches(img, patch, stride)
+        g = extract_patches_stack(img[None], patch, stride)
         expected = ((h - patch) // stride + 1) * ((w - patch) // stride + 1)
         assert g.patches.N == expected
 
     def test_patch_too_large(self):
         with pytest.raises(ValueError):
-            extract_patches(np.ones((3, 3)), patch=4, stride=1)
+            extract_patches_stack(np.ones((1, 3, 3)), patch=4, stride=1)
 
     def test_stack_orders_images_consecutively(self):
         imgs = np.random.default_rng(1).standard_normal((3, 4, 4))
         g = extract_patches_stack(imgs, patch=2, stride=2)
         assert g.images == 3
         assert g.patches.N == 12
-        single = extract_patches(imgs[2], patch=2, stride=2)
+        single = extract_patches_stack(imgs[2:3], patch=2, stride=2)
         assert np.array_equal(g.patches.values[:, 8:12], single.patches.values)
 
 
@@ -161,7 +159,7 @@ class TestPatchesMatchLoopOracle:
     @pytest.mark.parametrize("shape,patch,stride", CASES)
     def test_single_image(self, shape, patch, stride):
         img = np.random.default_rng(0).standard_normal(shape)
-        g = extract_patches(img, patch, stride)
+        g = extract_patches_stack(img[None], patch, stride)
         expected = _patch_oracle(img, patch, stride)
         assert g.patches.values.tobytes() == expected.tobytes()
         assert g.patches.values.shape == expected.shape
@@ -181,8 +179,6 @@ class TestPatchesMatchLoopOracle:
 
     @pytest.mark.parametrize("ndim", [1, 4])
     def test_wrong_ndim(self, ndim):
-        with pytest.raises(ValueError, match="2-D or 3-D"):
-            extract_patches(np.ones((4,) * ndim), patch=2, stride=1)
         with pytest.raises(ValueError, match="3-D or 4-D"):
             extract_patches_stack(np.ones((4,) * (ndim + 1)), patch=2, stride=1)
 
@@ -317,41 +313,3 @@ class TestCsvText:
 
     def test_no_rows(self):
         assert csv_text([]) == ""
-
-
-class TestLoadCifar10Binary:
-    @staticmethod
-    def _record(label, pixels):
-        return bytes([label]) + bytes(pixels)
-
-    def test_two_records(self, tmp_path):
-        p = tmp_path / "batch.bin"
-        p.write_bytes(self._record(0, [0] * 3072) + self._record(9, [128] * 3072))
-        ds = load_cifar10_binary(p)
-        assert ds.data.N == 2
-        assert ds.data.d == 3072
-        assert np.array_equal(ds.labels, [0, 9])
-        assert ds.n_classes == 10
-
-    def test_full_intensity_scales_to_one(self, tmp_path):
-        p = tmp_path / "batch.bin"
-        p.write_bytes(self._record(1, [255] * 3072))
-        ds = load_cifar10_binary(p)
-        assert np.array_equal(ds.data.values[:, 0], np.ones(3072))
-
-    def test_pixel_offset_round_trip(self, tmp_path):
-        # pixel (channel 1, row 2, col 3) lives at byte offset 1 + 1024 + 2*32 + 3
-        pixels = [0] * 3072
-        offset_in_pixels = 1024 + 2 * 32 + 3
-        pixels[offset_in_pixels] = 200
-        p = tmp_path / "batch.bin"
-        p.write_bytes(self._record(5, pixels))
-        ds = load_cifar10_binary(p)
-        assert ds.data.values[offset_in_pixels, 0] == 200 / 255.0
-        assert np.count_nonzero(ds.data.values) == 1
-
-    def test_truncated_record(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(bytes(3072))  # one byte short of a record
-        with pytest.raises(FormatError):
-            load_cifar10_binary(p)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nyscode import harness, nystrom
-from nyscode.bounds import SaturationModel
 from nyscode.harness import (
     CurveConfig,
     ExperimentReport,
@@ -400,11 +399,8 @@ class TestEmit:
         rep = run_curve(CurveConfig(**SMALL_CURVE))
         p = tmp_path / "report.json"
         emit(rep, p, "json")
-        doc, expected = json.loads(p.read_text()), dataclasses.asdict(rep)
-        models = {name: SaturationModel.from_dict(m) for name, m in doc.pop("models").items()}
-        assert models == rep.models
-        del expected["models"]
-        assert doc == expected
+        expected = json.loads(json.dumps(dataclasses.asdict(rep)))
+        assert json.loads(p.read_text()) == expected
 
     def test_model_keys_in_field_order(self, tmp_path):
         # SaturationModel's field order is the JSON format: a reorder must fail here

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from nyscode import spectra
 from nyscode.coding import full_code
 from nyscode.data import DataMatrix, normalize_columns, synth_manifold
 from nyscode.harness import CurveConfig, _curve_dataset, _split
 from nyscode.spectra import (
     _energy_rank,
     _tail_norm,
-    effective_rank,
     rank_k_residual,
     scaled_diag_max,
     singular_values,
@@ -76,6 +76,11 @@ class TestScaledDiagMax:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             scaled_diag_max(np.ones((2, 3)))
+
+
+def effective_rank(C, energy=0.95):
+    """Smallest k whose top-k squared singular values of C retain ``energy`` of the total."""
+    return _energy_rank(singular_values(C), energy)
 
 
 class TestEffectiveRank:
@@ -237,9 +242,14 @@ class TestLeadingSpectrum:
         assert rep.singular_values[0] == pytest.approx(50.0, rel=1e-12)
 
     def test_full_energy_takes_exact_path(self, curve_diag, monkeypatch):
+        # the tail is at most (1 - energy) ||C||_F^2 = 0, below the floor: the
+        # Krylov iteration could only be thrown away, so it never starts
         C, s = curve_diag
         calls = _eigvalsh_calls(monkeypatch)
+        entered = []
+        monkeypatch.setattr(spectra, "_leading_spectrum", lambda *a: entered.append(1))
         rep = spectral_report(C, energy=1.0)
+        assert entered == []
         assert calls == [C.shape]
         assert rep.k == _energy_rank(s, 1.0)
         assert rep.rank_k_residual == _tail_norm(s, rep.k)
