@@ -8,11 +8,13 @@ as ``pts[assign == j].mean(axis=0)``, and lower the running min-distance by
 The work saved never changes a rounding:
 
 * squared point norms are computed once per call, and one Lloyd step makes
-  one N x c distance matrix: a matmul and three in-place passes over
-  cache-sized row blocks. Its ``argmin`` is the next assignment and its row
-  minima are the step's objective;
-* centroids come from one stable sort of the assignments: each cluster's
-  mean is summed over the same rows in the same order as the boolean mask;
+  one distance pass (``_nearest``): a full-height matmul into one N x c
+  buffer that every pass of the call reuses, then, per cache-sized row
+  block, the two additions, the ``argmin`` and the row minima. The minima
+  are the step's objective;
+* centroids come from one stable radix sort of the assignments: each
+  cluster's mean is summed over the same rows in the same order as the
+  boolean mask;
 * a new seed or center is compared exactly only with the rows that a one
   mat-vec estimate cannot rule out (``_lower_min_sq_dists``).
 """
@@ -26,7 +28,7 @@ import numpy as np
 from .coding import Dictionary
 from .data import DataMatrix, normalize_columns
 
-BLOCK_ROWS = 512  # rows of the N x c distance matrix finished per cache-sized block
+BLOCK_ROWS = 512  # rows of the N x c distance buffer finished per cache-sized block
 
 
 def sample_indices(N: int, c: int, seed: int) -> np.ndarray:
@@ -66,44 +68,44 @@ def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
     The atoms are ``normalize_columns`` of the centroids in "unit_l2" mode.
 
     The result is bit-identical to the plain algorithm described in the
-    module docstring. One Lloyd step costs one N x c distance matrix (an
-    N x d by d x c matmul plus three passes over it), one ``argmin`` over
-    it, one stable sort of the N assignments, one N x d row gather and c
-    slice sums. A step that empties a cluster adds one more distance matrix
-    for the relocation.
+    module docstring. One Lloyd step costs one distance pass (an N x d by
+    d x c matmul into the call's one N x c buffer, two additions and an
+    ``argmin`` over it), one radix sort of the N assignments, one N x d row
+    gather and c slice sums. A step that empties a cluster adds one more
+    distance pass for the relocation, into the same buffer.
     """
     if not (1 <= c <= X.N):
         raise ValueError(f"need 1 <= c <= N, got c={c}, N={X.N}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = X.values.T  # (N, d)
+    pts = np.asarray(X.values, dtype=float).T  # (N, d)
     pts_sq = (pts**2).sum(axis=1)
     centroids = _kmeanspp_init(pts, pts_sq, c, rng)
 
     prev_assign = None
     history: list[float] = []
-    every_row = np.arange(X.N)
     pts_rows = np.ascontiguousarray(pts)  # row gathers from a row-major copy are cheap
     sums = np.empty_like(centroids)
-    assign = np.argmin(_sq_dists(pts, centroids, pts_sq), axis=1)
+    d2 = np.empty((X.N, c))  # the one distance buffer, refilled by every pass
+    assign, minima = _nearest(pts, centroids, pts_sq, d2)
     for _ in range(max_iters):
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        order = np.argsort(assign, kind="stable")
+        order = np.argsort(assign.astype(np.min_scalar_type(c - 1)), kind="stable")  # radix
         grouped = pts_rows[order]  # each cluster's rows, in the order a boolean mask gives them
         counts = np.bincount(assign, minlength=c)
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         for j in range(c):  # an empty slice sums to zero and is not used
             np.add.reduce(grouped[bounds[j] : bounds[j + 1]], axis=0, out=sums[j])
+        del grouped  # not alive beside the distance pass
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]  # what .mean(axis=0) does
         if not filled.all():
-            centroids = _relocate_empty(pts, pts_sq, centroids, assign)
-        d2 = _sq_dists(pts, centroids, pts_sq)
-        assign = np.argmin(d2, axis=1)  # ties resolve to the lowest centroid index
-        history.append(float(d2[every_row, assign].sum()))  # the row minima
+            centroids = _relocate_empty(pts, pts_sq, centroids, assign, d2)
+        assign, minima = _nearest(pts, centroids, pts_sq, d2)
+        history.append(float(minima.sum()))
 
     centroids = centroids.T.copy()
     return KMeansResult(
@@ -146,35 +148,48 @@ def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
 
 
 def _relocate_empty(
-    pts: np.ndarray, pts_sq: np.ndarray, centroids: np.ndarray, assign: np.ndarray
+    pts: np.ndarray, pts_sq: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
+    d2: np.ndarray | None = None,
 ) -> np.ndarray:
     empty = np.setdiff1d(np.arange(centroids.shape[0]), assign)
     if empty.size == 0:
         return centroids
-    d2 = _sq_dists(pts, centroids, pts_sq).min(axis=1)
+    minima = _nearest(pts, centroids, pts_sq, d2)[1]
     for j in empty:
-        far = int(np.argmax(d2))
+        far = int(np.argmax(minima))
         centroids[j] = pts[far]
-        d2[far] = 0.0  # taken; the next empty cluster picks a different point
+        minima[far] = 0.0  # taken; the next empty cluster picks a different point
     return centroids
 
 
-def _sq_dists(pts: np.ndarray, centers: np.ndarray, pts_sq: np.ndarray) -> np.ndarray:
-    """``max((‖p‖² − 2 p·c) + ‖c‖², 0)`` for every row pair, built in one buffer.
+def _nearest(
+    pts: np.ndarray, centers: np.ndarray, pts_sq: np.ndarray, d2: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest center and distance under ``max((‖p‖² − 2 p·c) + ‖c‖², 0)``.
 
-    Scaling by −2 is exact, so ``pts @ (−2 centers)ᵀ`` is ``−(2 pts @ centersᵀ)``
-    bit for bit, and adding ``‖p‖²`` to it is the same IEEE operation as
-    subtracting ``2 pts @ centersᵀ`` from ``‖p‖²``. The additions run over
-    row blocks that stay in cache.
+    The product fills ``d2`` (N x c) in one BLAS call, since OpenBLAS picks
+    its kernels by shape and a row block multiplied alone can round otherwise.
+    Scaling by −2 is exact, and adding ``‖p‖²`` to ``pts @ (−2 centers)ᵀ`` is
+    the IEEE operation that subtracts ``2 pts @ centersᵀ`` from it. The rest
+    runs per row block while it is in cache. The clamp would tie a row's
+    entries <= 0 at +0.0, won by the first (``argmin`` resolves ties to the
+    lowest index), so a row whose minimum is <= 0 takes its first such entry.
     """
-    d2 = pts @ (-2.0 * centers).T
+    d2 = np.matmul(pts, (-2.0 * centers).T, out=d2)
     c_sq = (centers**2).sum(axis=1)
-    for start in range(0, d2.shape[0], BLOCK_ROWS):
-        block = d2[start : start + BLOCK_ROWS]
+    assign = np.empty(len(pts), dtype=np.intp)
+    minima = np.empty(len(pts))
+    for start in range(0, len(pts), BLOCK_ROWS):
+        block, near = d2[start : start + BLOCK_ROWS], assign[start : start + BLOCK_ROWS]
         block += pts_sq[start : start + BLOCK_ROWS, None]
         block += c_sq
-        np.maximum(block, 0.0, out=block)
-    return d2
+        np.argmin(block, axis=1, out=near)
+        least = np.take_along_axis(block, near[:, None], axis=1)[:, 0]
+        low = np.flatnonzero(least <= 0.0)
+        near[low] = np.argmax(block[low] <= 0.0, axis=1)
+        least[low] = 0.0
+        minima[start : start + BLOCK_ROWS] = least
+    return assign, minima
 
 
 def _lower_min_sq_dists(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ class TestKMeans:
         assign = np.array([0, 1, 1])  # centroid 2 is empty; point 2 is farthest
         out = _relocate_empty(pts, (pts**2).sum(axis=1), centroids.copy(), assign)
         assert np.array_equal(out[2], pts[2])
+
+    def test_integer_values_cluster_like_floats(self):
+        grid = _integer_grid()
+        a = kmeans(DataMatrix(grid.astype(np.int64)), c=6, max_iters=20, seed=0)
+        b = kmeans(DataMatrix(grid), c=6, max_iters=20, seed=0)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.history == b.history
+
+    def test_peak_memory_holds_one_distance_buffer(self):
+        # one N x c float64 distance buffer fits; two alive at once would not
+        n, c = 20_000, 256
+        X = DataMatrix(np.random.default_rng(6).standard_normal((16, n)))
+        tracemalloc.start()
+        try:
+            kmeans(X, c, max_iters=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * c * 8
 
     @pytest.mark.parametrize("c,iters", [(0, 5), (10, 5), (2, 0)])
     def test_invalid_arguments(self, c, iters):
@@ -246,6 +266,15 @@ def _integer_grid():
     return np.array(list(itertools.product(range(5), repeat=3)), dtype=float).T.copy()
 
 
+def _ragged_blocks():
+    # N = 2 * BLOCK_ROWS + 37, so the last row block is ragged: copies of 6
+    # points, then 37 spread points. c = 300 leaves clusters empty, and the
+    # relocation's farthest points lie among the last 37 rows.
+    rng = np.random.default_rng(4)
+    copies = rng.standard_normal((8, 6))[:, rng.integers(0, 6, 2 * dictionary.BLOCK_ROWS)]
+    return np.concatenate([copies, 30.0 * rng.standard_normal((8, 37))], axis=1)
+
+
 def _near_distinct():
     # 36 distinct points plus copies of 4 of them: with c > 36 two centers
     # coincide, one of them loses every point and is relocated
@@ -359,13 +388,51 @@ class TestKMeansBitIdentity:
         full = ((pts - x) ** 2).sum(axis=1)
         assert _row_sq_dists(pts, x, rows).tobytes() == full[rows].tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("c", [8, 300])
+    def test_ragged_last_block_matches_plain_kmeans(self, order, c, monkeypatch):
+        X = DataMatrix(np.asarray(_ragged_blocks(), order=order))
+        moved = []  # the first relocated centroid of each relocating step
+        real = dictionary._relocate_empty
+
+        def relocate(pts, pts_sq, centroids, assign, *buffer):
+            first = np.setdiff1d(np.arange(c), assign)[0]
+            out = real(pts, pts_sq, centroids, assign, *buffer)
+            moved.append(out[first].copy())
+            return out
+
+        monkeypatch.setattr(dictionary, "_relocate_empty", relocate)
+        res = kmeans(X, c, max_iters=20, seed=0)
+        centroids, atoms, history = _plain_kmeans(X, c, 20, 0)
+        assert res.centroids.tobytes() == centroids.tobytes()
+        assert res.dictionary.atoms.tobytes() == atoms.tobytes()
+        assert res.history == history
+        if c == 300:
+            last_block = X.values.T[2 * dictionary.BLOCK_ROWS :]
+            assert moved and (last_block == moved[0]).all(axis=1).any()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_nearest_resolves_clamped_entries_like_the_plain_form(self, order):
+        # points and centers within rounding of one another at 1e4: a row has
+        # several entries <= 0, which the clamp ties at zero for the first
+        rng = np.random.default_rng(7)
+        values = 1e4 + 1e-6 * rng.standard_normal((8, 2 * dictionary.BLOCK_ROWS + 37))
+        pts = np.asarray(values, order=order).T
+        centers = pts[:40] + 1e-7 * rng.standard_normal((40, 8))
+        clamped = _plain_sq_dists(pts, centers)
+        assign, minima = dictionary._nearest(pts, centers, (pts**2).sum(axis=1))
+        assert np.array_equal(assign, np.argmin(clamped, axis=1))
+        assert minima.tobytes() == clamped[np.arange(len(pts)), assign].tobytes()
+        raw = (pts**2).sum(axis=1)[:, None] - 2.0 * pts @ centers.T + (centers**2).sum(axis=1)
+        assert (np.argmin(raw, axis=1) != assign).any()  # the unclamped argmin differs
+
     @pytest.mark.parametrize("name,c", [("offset_1e4", 5), ("unit_patches", 64), ("duplicates", 8)])
     def test_one_distance_matrix_per_step(self, name, c, monkeypatch):
-        # iterations + 1 distance matrices, plus one per step that relocates
+        # iterations + 1 distance passes, plus one per step that relocates
         dists, relocations = [], []
-        real_dists, real_relocate = dictionary._sq_dists, dictionary._relocate_empty
+        real_dists, real_relocate = dictionary._nearest, dictionary._relocate_empty
         monkeypatch.setattr(
-            dictionary, "_sq_dists", lambda *a: dists.append(1) or real_dists(*a)
+            dictionary, "_nearest", lambda *a: dists.append(1) or real_dists(*a)
         )
         monkeypatch.setattr(
             dictionary, "_relocate_empty", lambda *a: relocations.append(1) or real_relocate(*a)
