@@ -16,6 +16,7 @@ from .data import DataMatrix
 
 # sensible threshold for unit-norm columns; every config exposes its own alpha
 DEFAULT_ALPHA = 0.25
+_BLOCK_BYTES = 1 << 18  # bytes of codes that encode thresholds at a time; fits in a core's L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +72,24 @@ def _matrix(C) -> np.ndarray:
     return C.values if isinstance(C, CodeMatrix) else np.asarray(C, dtype=float)
 
 
-def encode(X: DataMatrix, D: Dictionary, alpha: float) -> CodeMatrix:
-    """Encode every column of X: entry (i, j) = max(0, <x_i, d_j> - alpha)."""
+def encode(
+    X: DataMatrix, D: Dictionary, alpha: float, out: np.ndarray | None = None
+) -> CodeMatrix:
+    """Encode every column of X: entry (i, j) = max(0, <x_i, d_j> - alpha).
+
+    ``out``, an N x c float64 array, receives the codes and becomes ``values``.
+    """
     if X.d != D.d:
         raise ValueError(f"feature dim mismatch: data has d={X.d}, dictionary d={D.d}")
-    G = X.values.T @ D.atoms
-    # in place, with the dtype and bits of np.maximum(0.0, G - alpha)
+    if out is not None and (out.shape, out.dtype) != ((X.N, D.c), np.float64):
+        raise ValueError(f"out must be a {X.N} x {D.c} float64 array, got {out.shape} {out.dtype}")
+    G = np.matmul(X.values.T, D.atoms, out=out)
+    # in place, a cached row block at a time, with the dtype and bits of np.maximum(0.0, G - alpha)
     G = G.astype(np.result_type(G, alpha), copy=False)
-    G -= alpha
-    np.maximum(0.0, G, out=G)
+    for start in range(0, len(G), rows := max(1, _BLOCK_BYTES // G[0].nbytes)):
+        block = G[start : start + rows]
+        block -= alpha
+        np.maximum(0.0, block, out=block)
     return CodeMatrix(G)
 
 

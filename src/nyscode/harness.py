@@ -321,7 +321,7 @@ def _fit_score(
     """Train the ridge classifier on (features(Xtr), ytr); return its (train, test) accuracy.
 
     One feature matrix is alive at a time: the train features are dropped once
-    they are scored, before the test features are built.
+    they are scored, before the test features are built, so both may share one buffer.
     """
     ftr = features(Xtr)
     model = classifier.train_ridge(ftr, ytr, n_classes, lam)
@@ -390,6 +390,9 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
             K = gram_kernel(C_full)
             scales = trace_scales(C_full, K)
 
+    # one buffer for every cell's codes, so that freed ones do not pile up in the heap; not
+    # with the Nystrom diagnostics on, as each cell's factors reuse its freed codes' memory
+    codes = np.empty(max(n_train, Xte.N) * kept[-1]) if K is None else None
     points: list[CurvePoint] = []
     for c in kept:
         scores, errs = [], []
@@ -402,7 +405,9 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
             scores.append(
                 _fit_score(
-                    lambda X: encode(X, D, cfg.alpha), Xtr, ytr, Xte, yte, dataset.n_classes, lam
+                    lambda X: encode(X, D, cfg.alpha, out=None if codes is None
+                                     else codes[: X.N * c].reshape(X.N, c)),
+                    Xtr, ytr, Xte, yte, dataset.n_classes, lam,
                 )
             )
             if K is not None:

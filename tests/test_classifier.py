@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nyscode
 from nyscode.classifier import LinearModel, accuracy, predict, train_ridge
 from nyscode.coding import CodeMatrix
 
@@ -187,6 +193,72 @@ class TestPredict:
         model = LinearModel(weights=np.zeros((4, 2)), bias=np.zeros(2))
         with pytest.raises(ValueError):
             predict(model, _codes(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("N, c, L", [(1, 5, 2), (7, 64, 3), (500, 255, 4), (4097, 64, 10)])
+    def test_matches_plain_scores_argmax(self, N, c, L):
+        # at 7 x 64 and 500 x 255 OpenBLAS 0.3.31 rounds (W^T C^T)^T and C W apart in the last bit
+        rng = np.random.default_rng(N + c + L)
+        C = _codes(np.maximum(0.0, rng.standard_normal((N, c))))
+        solution = rng.standard_normal((c + 1, L))
+        model = LinearModel(weights=solution[:-1], bias=solution[-1])
+        expected = np.argmax(C.values @ model.weights + model.bias, axis=1)
+        assert np.array_equal(predict(model, C), expected)
+
+    def test_equal_scores_resolve_to_lowest_class(self):
+        # classes 1 and 3 share weights and bias and beat classes 0 and 2 on every row
+        rng = np.random.default_rng(7)
+        weights = rng.standard_normal((6, 4))
+        weights[:, 3] = weights[:, 1]
+        bias = np.array([-50.0, 50.0, -50.0, 50.0])
+        C = _codes(np.abs(rng.standard_normal((300, 6))))
+        assert np.array_equal(predict(LinearModel(weights, bias), C), np.ones(300, dtype=int))
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 prints its config only
+        return False
+    return "openblas" in config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+_PREDICT_RSS_GROWTH = textwrap.dedent(
+    """
+    import numpy as np
+    from nyscode.classifier import LinearModel, predict
+    from nyscode.coding import CodeMatrix
+
+    def rss_kb():
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
+
+    rng = np.random.default_rng(0)
+    C = CodeMatrix(np.maximum(0.0, rng.standard_normal((8000, 256))))
+    model = LinearModel(weights=rng.standard_normal((256, 4)), bias=rng.standard_normal(4))
+    predict(model, CodeMatrix(C.values[:8]))  # start the BLAS threads
+    before = rss_kb()
+    predict(model, C)
+    print(rss_kb() - before)
+    """
+)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not _numpy_uses_openblas(),
+    reason="reads VmRSS from /proc and measures an OpenBLAS work area",
+)
+def test_predict_leaves_no_code_sized_work_area_resident():
+    # C W on 2 threads left about 16 MB of work area resident on an 8,000 x 256
+    # code matrix; (W^T C^T)^T grows the resident set by about 1 MB
+    src = str(Path(nyscode.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", _PREDICT_RSS_GROWTH], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 4 * 1024
 
 
 class TestAccuracy:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nyscode import coding
 from nyscode.coding import CodeMatrix, Dictionary, encode, full_code, gram_kernel
 from nyscode.data import DataMatrix
 
@@ -101,6 +102,47 @@ class TestEncode:
         D = Dictionary(np.ones((4, 2)))
         with pytest.raises(ValueError):
             encode(X, D, 0.0)
+
+
+def _blocked_problem(c):
+    """Samples that fill two threshold row blocks plus 7 rows, and c atoms."""
+    rows = max(1, coding._BLOCK_BYTES // (8 * c))
+    rng = np.random.default_rng(c)
+    X = DataMatrix(rng.standard_normal((8, 2 * rows + 7)))
+    return X, Dictionary(rng.standard_normal((8, c)))
+
+
+class TestEncodeInto:
+    # c = 40,000 makes one row larger than a threshold block
+    @pytest.mark.parametrize("c", [13, 300, 40_000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, -0.5])
+    def test_same_bits_with_and_without_out(self, c, alpha):
+        X, D = _blocked_problem(c)
+        expected = np.maximum(0.0, X.values.T @ D.atoms - alpha)
+        out = np.full((X.N, c), np.nan)
+        got = encode(X, D, alpha, out=out)
+        assert got.values is out
+        for values in (got.values, encode(X, D, alpha).values):
+            assert np.array_equal(values, expected)
+            assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    def test_view_of_a_larger_buffer(self):
+        X, D = _random_problem(8, d=5, N=11, c=4)
+        buffer = np.full(100, -1.0)
+        got = encode(X, D, 0.1, out=buffer[: X.N * D.c].reshape(X.N, D.c))
+        assert np.array_equal(got.values, encode(X, D, 0.1).values)
+        assert np.shares_memory(got.values, buffer)
+        assert np.all(buffer[X.N * D.c :] == -1.0)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((6, 4)), np.empty((3, 6)), np.empty(18), np.empty((6, 3), dtype=np.float32)],
+        ids=["wrong-c", "transposed", "flat", "float32"],
+    )
+    def test_wrong_out_rejected(self, out):
+        X, D = _random_problem(9)
+        with pytest.raises(ValueError, match="out must be a 6 x 3 float64 array"):
+            encode(X, D, 0.1, out=out)
 
 
 class TestFullCode:

@@ -350,6 +350,39 @@ class TestOneFeatureMatrixAlive:
         assert all(ref() is None for ref in featurized)
 
 
+@pytest.mark.parametrize(
+    "dict_source, nystrom_limit, shared",
+    [("sampled", 50, True), ("kmeans", 2000, True), ("sampled", 2000, False)],
+    ids=["sampled", "kmeans", "sampled-with-nystrom-diagnostics"],
+)
+def test_curve_encodes_every_cell_into_one_buffer(monkeypatch, dict_source, nystrom_limit, shared):
+    # SMALL_CURVE: 96 train and 24 test samples, largest c 16. With the Nystrom
+    # diagnostics on, a sampled dictionary's per-cell factors reuse the freed
+    # codes' memory instead, and no buffer is shared.
+    outs, real = [], harness.encode
+
+    def spy(X, D, alpha, out=None):
+        outs.append(out)
+        codes = real(X, D, alpha, out=out)
+        assert out is None or codes.values is out
+        return codes
+
+    monkeypatch.setattr(harness, "encode", spy)
+    cfg = CurveConfig(
+        **SMALL_CURVE, dict_source=dict_source, kmeans_iters=10, nystrom_limit=nystrom_limit
+    )
+    run_curve(cfg)
+    assert len(outs) == 12
+    if not shared:
+        assert outs == [None] * 12
+        return
+    buffer = outs[0].base
+    assert buffer is not None and buffer.shape == (96 * 16,)
+    for out, n in zip(outs, [96, 24] * 6):
+        assert out.base is buffer and out.shape[0] == n
+        assert out.ctypes.data == buffer.ctypes.data
+
+
 class TestSynthTextureImages:
     def test_shapes_and_labels(self):
         images, labels = synth_texture_images(10, 2, 8, 4, 3, 0.5, seed=0)
