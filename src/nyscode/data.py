@@ -191,11 +191,6 @@ def extract_patches_stack(images: np.ndarray, patch: int, stride: int) -> PatchG
     images = np.asarray(images, dtype=float)
     if images.ndim not in (3, 4):
         raise ValueError(f"image stack must be 3-D or 4-D, got ndim={images.ndim}")
-    return _patch_grid(images, patch, stride)
-
-
-def _patch_grid(images: np.ndarray, patch: int, stride: int) -> PatchGrid:
-    """Patches of an (n, h, w[, channels]) stack as one C-ordered d x N matrix."""
     if images.ndim == 3:
         images = images[..., None]
     n, h, w, ch = images.shape

@@ -36,7 +36,7 @@ from .data import (
     synth_texture_images,
 )
 from .dictionary import kmeans, sample_indices
-from .nystrom import approximation_errors, decompose, trace_scales
+from .nystrom import ApproximationErrors, approximation_errors, decompose, trace_scales
 from .pooling import PoolOp, check_regions, pool, pdl
 from .spectra import SpectralReport, check_energy, spectral_report
 
@@ -79,12 +79,12 @@ def _mentions_int(hint) -> bool:
 class _Config:
     """Base of the config dataclasses: a type check on every build, and JSON parsing."""
 
-    # keys whose value, when set, must be above zero: checked on build, before any data
+    # keys whose value, when set, or whose every list entry must be above zero: checked on build
     _POSITIVE = ()
 
     def __post_init__(self):
-        """Reject a value that does not fit its field's type, or a ``_POSITIVE`` key at
-        or below zero; a list becomes a tuple."""
+        """Reject a value that does not fit its field's type, an empty list, or a
+        ``_POSITIVE`` key or list entry at or below zero; a list becomes a tuple."""
         for key, hint in typing.get_type_hints(type(self)).items():
             value = getattr(self, key)
             if not _fits(value, hint):
@@ -94,9 +94,14 @@ class _Config:
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
             if typing.get_origin(hint) is tuple:
                 setattr(self, key, tuple(value))
+            if typing.get_origin(hint) is list and not value:
+                raise ValueError(f"config key {key!r} must be non-empty")
         for key in self._POSITIVE:
             value = getattr(self, key)
-            if value is not None and not value > 0:
+            if isinstance(value, list):
+                if not min(value) > 0:
+                    raise ValueError(f"{key} values must be >= 1, got {min(value)}")
+            elif value is not None and not value > 0:
                 raise ValueError(f"config key {key!r} must be > 0, got {value!r}")
 
     @classmethod
@@ -123,7 +128,7 @@ class _Config:
 class CurveConfig(_Config):
     """Parameters of an accuracy-versus-codebook-size sweep."""
 
-    _POSITIVE = ("lam", "kmeans_iters")
+    _POSITIVE = ("lam", "kmeans_iters", "c_grid")
 
     c_grid: list[int]
     seeds: list[int]
@@ -153,7 +158,8 @@ class CurveConfig(_Config):
 class PdlConfig(_Config):
     """Parameters of an overshoot-and-prune dictionary comparison."""
 
-    _POSITIVE = ("lam", "kmeans_iters", "classes", "images_per_class", "patch", "stride")
+    _POSITIVE = ("lam", "kmeans_iters", "classes", "images_per_class", "patch", "stride",
+                 "final_c_grid", "overshoots")
 
     final_c_grid: list[int]
     overshoots: list[int]
@@ -180,6 +186,8 @@ class PdlConfig(_Config):
 class NystromEvalConfig(_Config):
     """Parameters of an empirical bound-coverage evaluation."""
 
+    _POSITIVE = ("k_list",)  # c_grid's range 1..n_samples: sample_indices, before any data
+
     c_grid: list[int]
     seeds: list[int]
     k_list: list[int] = field(default_factory=lambda: [2, 4])
@@ -190,6 +198,11 @@ class NystromEvalConfig(_Config):
     alpha: float = DEFAULT_ALPHA
     energy: float = 0.95
     normalize: NormalizeMode = "unit_l2"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if max(self.k_list) > min(self.d, self.n_samples):  # synth_manifold's range of k
+            raise ValueError(f"k_list values must be <= min(d, n_samples), got {self.k_list}")
 
 
 @dataclass
@@ -309,6 +322,14 @@ def _spectral_summary(rep: SpectralReport) -> dict:
             "scaled_diag_max": rep.scaled_diag_max}
 
 
+def _cell_scorer(C: CodeMatrix) -> typing.Callable[[np.ndarray], ApproximationErrors]:
+    """idx -> the Nystrom errors of column sample idx of C, each scored from c rows of one
+    kernel K = C C^T; built after the spectrum of C, K reuses the spectrum's freed buffers."""
+    K = gram_kernel(C)
+    scales = trace_scales(C, K)
+    return lambda idx: approximation_errors(C, decompose(C, idx), scales, K)
+
+
 def _fit_score(
     features: typing.Callable[[DataMatrix | PatchGrid], CodeMatrix],
     Xtr: DataMatrix | PatchGrid,
@@ -356,10 +377,6 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     grid = sorted(set(cfg.c_grid))
     if len(grid) < 3:
         raise ValueError(f"c grid needs at least 3 distinct values, got {grid}")
-    if grid[0] < 1:
-        raise ValueError(f"c_grid values must be >= 1, got {grid[0]}")
-    if not cfg.seeds:
-        raise ValueError("seeds must be non-empty")
     check_energy(cfg.energy)
     _check_split(cfg.split_fraction)
 
@@ -379,20 +396,16 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     if len(kept) < 2:
         raise ValueError("fewer than 2 usable codebook sizes after skipping oversized ones")
 
-    diagnostics = n_train <= cfg.nystrom_limit
-    C_full = spec_rep = K = None
-    if diagnostics:
+    spec_rep = score = None
+    if n_train <= cfg.nystrom_limit:
         C_full = full_code(Xtr, cfg.alpha)
         spec_rep = spectral_report(C_full, energy=cfg.energy)
         if cfg.dict_source == "sampled":
-            # one kernel and its trace scales for every cell to score from, built
-            # after the spectrum's buffers are freed
-            K = gram_kernel(C_full)
-            scales = trace_scales(C_full, K)
+            score = _cell_scorer(C_full)
 
     # one buffer for every cell's codes, so that freed ones do not pile up in the heap; not
     # with the Nystrom diagnostics on, as each cell's factors reuse its freed codes' memory
-    codes = np.empty(max(n_train, Xte.N) * kept[-1]) if K is None else None
+    codes = np.empty(max(n_train, Xte.N) * kept[-1]) if score is None else None
     points: list[CurvePoint] = []
     for c in kept:
         scores, errs = [], []
@@ -410,9 +423,8 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                     Xtr, ytr, Xte, yte, dataset.n_classes, lam,
                 )
             )
-            if K is not None:
-                f = decompose(C_full, idx)
-                e = approximation_errors(C_full, f, scales, K)
+            if score is not None:
+                e = score(idx)
                 errs.append((e.code_err, e.kernel_err))
         points.append(
             CurvePoint(
@@ -453,22 +465,10 @@ def _normalized_patches(images: np.ndarray, cfg: PdlConfig) -> PatchGrid:
     return dataclasses.replace(grid, patches=normalize_columns(grid.patches, cfg.normalize))
 
 
-def _pooled_features(
-    patches: PatchGrid, D: Dictionary, alpha: float, regions: tuple[int, int], op: str
-) -> CodeMatrix:
-    codes = encode(patches.patches, D, alpha)
-    return pool(codes, (patches.grid_rows, patches.grid_cols), regions, op)
-
-
 def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
     """Compare pruned overshoot dictionaries against the overshoot=1 baseline."""
     final_cs = sorted(set(cfg.final_c_grid))
     overshoots = sorted(set(cfg.overshoots))
-    if not final_cs or not overshoots or not cfg.seeds:
-        raise ValueError("final_c_grid, overshoots, and seeds must be non-empty")
-    for key, values in (("final_c_grid", final_cs), ("overshoots", overshoots)):
-        if values[0] < 1:
-            raise ValueError(f"{key} values must be >= 1, got {values[0]}")
     if overshoots[0] != 1:
         raise ValueError("overshoots must include 1 (the baseline)")
     _check_split(cfg.split_fraction)
@@ -511,7 +511,8 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
                 )
 
                 def features(grid: PatchGrid) -> CodeMatrix:
-                    return _pooled_features(grid, D, cfg.alpha, cfg.regions, cfg.pool_op)
+                    codes = encode(grid.patches, D, cfg.alpha)
+                    return pool(codes, (grid.grid_rows, grid.grid_cols), cfg.regions, cfg.pool_op)
 
                 scores.append(_fit_score(features, grid_tr, ytr, grid_te, yte, cfg.classes, lam))
             stats = _mean_std(_SCORES, scores)
@@ -533,12 +534,7 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
 
 def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     """Measure how often the evaluated bound covers the observed code error."""
-    if not cfg.c_grid or not cfg.seeds or not cfg.k_list:
-        raise ValueError("c_grid, seeds, and k_list must be non-empty")
     check_energy(cfg.energy)
-    for c in cfg.c_grid:
-        if not 1 <= c <= cfg.n_samples:
-            raise ValueError(f"need 1 <= c <= N, got c={c}, N={cfg.n_samples}")
     cs = sorted(set(cfg.c_grid))
     # the draws depend on neither k nor the data: one per (c, seed) serves every k
     draws = {(c, seed): sample_indices(cfg.n_samples, c, seed) for c in cs for seed in cfg.seeds}
@@ -551,13 +547,11 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         C = full_code(Xn, cfg.alpha)
         rep = spectral_report(C, energy=cfg.energy)
         spectral[str(k)] = _spectral_summary(rep)
-        K = gram_kernel(C)  # after the spectrum's buffers are freed
-        scales = trace_scales(C, K)
+        score = _cell_scorer(C)
         for c in cs:
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
-                f = decompose(C, draws[c, seed])
-                errs = approximation_errors(C, f, scales, K)
+                errs = score(draws[c, seed])
                 cells.append(
                     NystromCell(
                         k=k,

@@ -37,7 +37,8 @@ they are sum sigma^2 and sum sigma^4 over the singular values of C) are
 computed once per code matrix. Both identities need C to be symmetric, and
 so does the cost model: for symmetric C, P = C C[:, indices] =
 K[indices, :]^T is c rows of K. The caller builds K once per code matrix
-(one N x N syrk), and each sample is scored from its c rows in N c r work:
+(one N x N syrk; in the sweeps, ``harness._cell_scorer`` holds K and the
+scales), and each sample is scored from its c rows in N c r work:
 CF = K[indices, :]^T U equals C F. In the eigenbasis the three terms of
 each are ||C||_F^2, 2 sum_i (F^T CF)_ii / lambda_i and <Nm, H>, and
 ||K||_F^2, 2 <Nm, CF^T CF> and tr(Nm H Nm H).

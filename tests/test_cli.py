@@ -192,6 +192,47 @@ class TestConfigRejectedBeforeWork:
         assert named in capsys.readouterr().err
         assert spies == []
 
+    NYSTROM = {"c_grid": [4], "seeds": [0]}
+
+    @pytest.mark.parametrize(
+        "payload, shown",
+        [
+            # k_list entries outside synth_manifold's 1..min(d, n_samples) used to exit
+            # 2 from synth_manifold, naming k, after the earlier k's whole sweep
+            (dict(NYSTROM, k_list=[2, 40], d=32), "k_list values must be <= min(d, n_samples)"),
+            (dict(NYSTROM, k_list=[2, 40], d=64, n_samples=32),
+             "k_list values must be <= min(d, n_samples)"),
+            (dict(NYSTROM, k_list=[0]), "k_list values must be >= 1, got 0"),
+            # sample_indices checks 1 <= c <= n_samples, before any data is built
+            (dict(NYSTROM, c_grid=[0, 4]), "need 1 <= c <= N, got c=0, N=256"),
+        ],
+        ids=["k_list-above-d", "k_list-above-n_samples", "k_list-zero", "c_grid-zero"],
+    )
+    def test_nystrom_eval_grid_outside_range_exits_2_before_any_data(
+        self, tmp_path, capsys, spies, payload, shown
+    ):
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main(["nystrom-eval", "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert shown in capsys.readouterr().err
+        assert spies == []
+
+    # (command, payload that runs) of each config command, with its list keys
+    LISTS = [("curve", CURVE_CFG, ["c_grid", "seeds"]),
+             ("pdl", PDL, ["final_c_grid", "overshoots", "seeds"]),
+             ("nystrom-eval", NYSTROM, ["c_grid", "seeds", "k_list"])]
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [(command, payload, key) for command, payload, keys in LISTS for key in keys],
+        ids=[f"{command}-{key}" for command, _, keys in LISTS for key in keys],
+    )
+    def test_empty_list_exits_2_before_any_data(self, tmp_path, capsys, spies, command,
+                                                payload, key):
+        cfg = _write_config(tmp_path, dict(payload, **{key: []}))
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert f"config key '{key}' must be non-empty" in capsys.readouterr().err
+        assert spies == []
+
     @pytest.mark.parametrize(
         "command, payload, shown",
         [

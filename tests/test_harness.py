@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import typing
 import weakref
 
 import numpy as np
 import pytest
 
 from nyscode import harness, nystrom
+from nyscode.coding import full_code
+from nyscode.data import DataMatrix, normalize_columns, synth_labeled_manifold, synth_manifold
+from nyscode.dictionary import sample_indices
 from nyscode.harness import (
     CurveConfig,
     ExperimentReport,
@@ -18,6 +22,7 @@ from nyscode.harness import (
     run_pdl_compare,
     synth_texture_images,
 )
+from oracles import reconstruct_code, reconstruct_kernel
 
 SMALL_CURVE = dict(
     c_grid=[4, 8, 16],
@@ -256,6 +261,88 @@ class TestRunNystromEval:
         a = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         b = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         assert report_csv(a) == report_csv(b)
+
+
+# the required keys of each config, at values that build it
+REQUIRED = {
+    CurveConfig: {"c_grid": [4, 8, 16], "seeds": [0]},
+    PdlConfig: {"final_c_grid": [4], "overshoots": [1], "seeds": [0]},
+    NystromEvalConfig: {"c_grid": [4], "seeds": [0]},
+}
+LIST_KEYS = [
+    (cls, key)
+    for cls in REQUIRED
+    for key, hint in typing.get_type_hints(cls).items()
+    if typing.get_origin(hint) is list
+]
+# the list keys whose entries are sizes or counts; NystromEvalConfig's c_grid is
+# checked against n_samples by sample_indices instead
+GRID_KEYS = [(CurveConfig, "c_grid"), (PdlConfig, "final_c_grid"), (PdlConfig, "overshoots"),
+             (NystromEvalConfig, "k_list")]
+
+
+def _key_ids(pairs):
+    return [f"{cls.__name__}-{key}" for cls, key in pairs]
+
+
+class TestListRulesOnBuild:
+    @pytest.mark.parametrize("cls, key", LIST_KEYS, ids=_key_ids(LIST_KEYS))
+    def test_empty_list_rejected(self, cls, key):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be non-empty"):
+            cls(**{**REQUIRED[cls], key: []})
+
+    @pytest.mark.parametrize("cls, key", GRID_KEYS, ids=_key_ids(GRID_KEYS))
+    def test_zero_entry_rejected(self, cls, key):
+        with pytest.raises(ValueError, match=f"{key} values must be >= 1, got 0"):
+            cls(**{**REQUIRED[cls], key: [2, 0]})
+
+    @pytest.mark.parametrize("extra", [{"k_list": [2, 13]}, {"k_list": [9], "n_samples": 8}],
+                             ids=["above-d", "above-n_samples"])
+    def test_k_list_above_synth_manifold_range_rejected(self, extra):
+        with pytest.raises(ValueError, match=r"k_list values must be <= min\(d, n_samples\)"):
+            NystromEvalConfig(**{**REQUIRED[NystromEvalConfig], "d": 12, **extra})
+
+
+class TestSweepErrorsMatchOracle:
+    """The sweeps' reported code_err and kernel_err are the plain residual norms
+    ||C - E W^+ E^T||_F and ||C C^T - E M E^T||_F of the sampled factors."""
+
+    @staticmethod
+    def _oracle_errors(C, idx):
+        f = nystrom.decompose(C, idx)
+        return (np.linalg.norm(C - reconstruct_code(f)),
+                np.linalg.norm(C @ C.T - reconstruct_kernel(f)))
+
+    def test_curve_seed_means(self):
+        cfg = CurveConfig(**SMALL_CURVE)
+        ds = synth_labeled_manifold(cfg.d, cfg.k, cfg.n_samples, cfg.classes, cfg.noise,
+                                    cfg.data_seed, class_sep=cfg.class_sep, within=cfg.within,
+                                    modes_per_class=cfg.modes_per_class)
+        X = normalize_columns(ds.data, cfg.normalize).values
+        n_train = round(cfg.split_fraction * cfg.n_samples)
+        train = np.random.default_rng(cfg.split_seed).permutation(cfg.n_samples)[:n_train]
+        C = full_code(DataMatrix(X[:, train]), cfg.alpha).values
+        rep = run_curve(cfg)
+        assert [p.c for p in rep.curve] == cfg.c_grid
+        for point in rep.curve:
+            errs = [self._oracle_errors(C, sample_indices(n_train, point.c, s))
+                    for s in cfg.seeds]
+            code_err, kernel_err = np.mean(errs, axis=0)
+            assert point.code_err == pytest.approx(code_err, rel=1e-8)
+            assert point.kernel_err == pytest.approx(kernel_err, rel=1e-8)
+
+    def test_nystrom_eval_cells(self):
+        cfg = NystromEvalConfig(**{**SMALL_NYSTROM, "k_list": [2, 4]})
+        rep = run_nystrom_eval(cfg)
+        assert len(rep.cells) == 2 * 3 * 3
+        for k in cfg.k_list:
+            X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
+            C = full_code(normalize_columns(X, cfg.normalize), cfg.alpha).values
+            for cell in (cell for cell in rep.cells if cell.k == k):
+                code_err, kernel_err = self._oracle_errors(
+                    C, sample_indices(cfg.n_samples, cell.c, cell.seed))
+                assert cell.code_err == pytest.approx(code_err, rel=1e-8)
+                assert cell.kernel_err == pytest.approx(kernel_err, rel=1e-8)
 
 
 class TestNoKernelInSweeps:
