@@ -94,17 +94,16 @@ def encode(
 
 
 def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
-    """Code the training set against itself: C = max(0, X^T X - alpha), N x N.
+    """Code the training set against itself: C = encode(X, Dictionary(X), alpha), N x N.
 
-    The Gram product is symmetrized before thresholding so the result is
-    bit-exactly symmetric regardless of BLAS reduction order.
+    numpy computes X^T X from one buffer by one syrk and copies one triangle
+    into the other, so C equals its transpose bit for bit with no symmetrizing
+    pass. An array neither C- nor F-contiguous, as a column-strided view, may
+    reach gemm instead, so it is copied first.
     """
-    # keep the Gram matrix named: subtracting alpha from the unnamed temporary
-    # lets numpy do it in place, and the changed allocation sequence leaves
-    # glibc malloc's dynamic mmap/trim thresholds lower, so the later per-cell
-    # buffers of nystrom-eval are page-faulted in afresh on every cell
-    gram = _sym_gram(X.values.T)
-    return CodeMatrix(np.maximum(0.0, gram - alpha))
+    if not (X.values.flags.c_contiguous or X.values.flags.f_contiguous):
+        X = DataMatrix(np.ascontiguousarray(X.values))
+    return encode(X, Dictionary(X.values), alpha)
 
 
 def gram_kernel(C) -> np.ndarray:
@@ -117,8 +116,3 @@ def gram_kernel(C) -> np.ndarray:
     values = _matrix(C)
     return values @ values.T
 
-
-def _sym_gram(A: np.ndarray) -> np.ndarray:
-    """A A^T averaged with its transpose, so the result is bit-exactly symmetric."""
-    G = A @ A.T
-    return (G + G.T) / 2.0

@@ -83,8 +83,9 @@ class _Config:
     _POSITIVE = ()
 
     def __post_init__(self):
-        """Reject a value that does not fit its field's type, an empty list, or a
-        ``_POSITIVE`` key or list entry at or below zero; a list becomes a tuple."""
+        """Reject a value that does not fit its field's type, an empty list, a
+        ``_POSITIVE`` key or list entry at or below zero, an ``energy`` outside
+        (0, 1] or a ``split_fraction`` outside (0, 1); a list becomes a tuple."""
         for key, hint in typing.get_type_hints(type(self)).items():
             value = getattr(self, key)
             if not _fits(value, hint):
@@ -103,6 +104,10 @@ class _Config:
                     raise ValueError(f"{key} values must be >= 1, got {min(value)}")
             elif value is not None and not value > 0:
                 raise ValueError(f"config key {key!r} must be > 0, got {value!r}")
+        if hasattr(self, "energy"):
+            check_energy(self.energy)
+        if hasattr(self, "split_fraction") and not 0.0 < self.split_fraction < 1.0:
+            raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -153,6 +158,11 @@ class CurveConfig(_Config):
     split_seed: int = 0
     nystrom_limit: int = 2000
 
+    def __post_init__(self):
+        super().__post_init__()
+        if len(grid := sorted(set(self.c_grid))) < 3:
+            raise ValueError(f"c grid needs at least 3 distinct values, got {grid}")
+
 
 @dataclass
 class PdlConfig(_Config):
@@ -180,6 +190,11 @@ class PdlConfig(_Config):
     normalize: NormalizeMode = "unit_l2"
     split_fraction: float = 0.8
     split_seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if 1 not in self.overshoots:
+            raise ValueError("overshoots must include 1 (the baseline)")
 
 
 @dataclass
@@ -265,11 +280,6 @@ class ExperimentReport:
     spectral: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     created_at: str = field(default_factory=_now)
-
-
-def _check_split(fraction: float) -> None:
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"split_fraction must be in (0, 1), got {fraction}")
 
 
 def _n_train(N: int, fraction: float) -> int:
@@ -375,11 +385,6 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     """Sweep codebook sizes: encode, classify, measure reconstruction errors,
     fit saturation models on the two smallest sizes, and predict the rest."""
     grid = sorted(set(cfg.c_grid))
-    if len(grid) < 3:
-        raise ValueError(f"c grid needs at least 3 distinct values, got {grid}")
-    check_energy(cfg.energy)
-    _check_split(cfg.split_fraction)
-
     dataset = _curve_dataset(cfg)
     train_idx, test_idx = _split(dataset.data.N, cfg.split_fraction, cfg.split_seed)
     X = dataset.data.values
@@ -403,9 +408,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
         if cfg.dict_source == "sampled":
             score = _cell_scorer(C_full)
 
-    # one buffer for every cell's codes, so that freed ones do not pile up in the heap; not
-    # with the Nystrom diagnostics on, as each cell's factors reuse its freed codes' memory
-    codes = np.empty(max(n_train, Xte.N) * kept[-1]) if score is None else None
+    codes = np.empty(max(n_train, Xte.N) * kept[-1])  # every cell's codes, train and test
     points: list[CurvePoint] = []
     for c in kept:
         scores, errs = [], []
@@ -418,8 +421,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
             scores.append(
                 _fit_score(
-                    lambda X: encode(X, D, cfg.alpha, out=None if codes is None
-                                     else codes[: X.N * c].reshape(X.N, c)),
+                    lambda X: encode(X, D, cfg.alpha, out=codes[: X.N * c].reshape(X.N, c)),
                     Xtr, ytr, Xte, yte, dataset.n_classes, lam,
                 )
             )
@@ -469,9 +471,6 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
     """Compare pruned overshoot dictionaries against the overshoot=1 baseline."""
     final_cs = sorted(set(cfg.final_c_grid))
     overshoots = sorted(set(cfg.overshoots))
-    if overshoots[0] != 1:
-        raise ValueError("overshoots must include 1 (the baseline)")
-    _check_split(cfg.split_fraction)
     side = (cfg.image_size - cfg.patch) // cfg.stride + 1  # the patch grid, from the config alone
     check_regions((side, side), cfg.regions)
     train_patches = _n_train(cfg.classes * cfg.images_per_class, cfg.split_fraction) * side**2
@@ -534,7 +533,6 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
 
 def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
     """Measure how often the evaluated bound covers the observed code error."""
-    check_energy(cfg.energy)
     cs = sorted(set(cfg.c_grid))
     # the draws depend on neither k nor the data: one per (c, seed) serves every k
     draws = {(c, seed): sample_indices(cfg.n_samples, c, seed) for c in cs for seed in cfg.seeds}

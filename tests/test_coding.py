@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,48 @@ class TestFullCode:
         D = Dictionary(X.values[:, cols])
         E = encode(X, D, 0.15).values
         assert np.abs(E - C[:, cols]).max() <= 1e-12 * max(np.abs(C).max(), 1.0)
+
+
+def _layout(name):
+    """(data in the named memory layout, a BLAS-friendly array with the same values)."""
+    rng = np.random.default_rng(0)
+    if name == "c-order":
+        values = rng.standard_normal((8, 60))
+    elif name == "f-order":
+        values = np.asfortranarray(rng.standard_normal((8, 60)))
+    elif name == "row-sliced":
+        values = rng.standard_normal((12, 60))[2:10]
+    elif name == "column-strided":  # X^T X of this view is not bit-symmetric
+        values = rng.standard_normal((40, 3000))[:32, ::2]
+    else:  # "large": N >= 1024
+        values = rng.standard_normal((16, 1030))
+    return values, np.ascontiguousarray(values) if name == "column-strided" else values
+
+
+class TestFullCodeBits:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, -0.1])
+    @pytest.mark.parametrize(
+        "layout", ["c-order", "f-order", "row-sliced", "column-strided", "large"]
+    )
+    def test_symmetric_and_equal_to_symmetrized_formula(self, layout, alpha):
+        values, blas = _layout(layout)
+        C = full_code(DataMatrix(values), alpha).values
+        assert np.array_equal(C, C.T)
+        G = blas.T @ blas
+        expected = np.maximum(0.0, (G + G.T) / 2.0 - alpha)
+        assert np.array_equal(C, expected)
+        assert np.array_equal(np.signbit(C), np.signbit(expected))
+        assert np.array_equal(C, encode(DataMatrix(blas), Dictionary(blas), alpha).values)
+
+    def test_peak_memory_is_about_the_result(self):
+        X = DataMatrix(np.random.default_rng(0).standard_normal((32, 2000)))
+        tracemalloc.start()
+        try:
+            full_code(X, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2000 * 2000 * 8
 
 
 class TestGramKernel:

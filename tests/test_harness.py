@@ -438,14 +438,13 @@ class TestOneFeatureMatrixAlive:
 
 
 @pytest.mark.parametrize(
-    "dict_source, nystrom_limit, shared",
-    [("sampled", 50, True), ("kmeans", 2000, True), ("sampled", 2000, False)],
+    "dict_source, nystrom_limit",
+    [("sampled", 50), ("kmeans", 2000), ("sampled", 2000)],
     ids=["sampled", "kmeans", "sampled-with-nystrom-diagnostics"],
 )
-def test_curve_encodes_every_cell_into_one_buffer(monkeypatch, dict_source, nystrom_limit, shared):
-    # SMALL_CURVE: 96 train and 24 test samples, largest c 16. With the Nystrom
-    # diagnostics on, a sampled dictionary's per-cell factors reuse the freed
-    # codes' memory instead, and no buffer is shared.
+def test_curve_encodes_every_cell_into_one_buffer(monkeypatch, dict_source, nystrom_limit):
+    # SMALL_CURVE: 96 train and 24 test samples, largest c 16. The buffer is
+    # shared with the Nystrom diagnostics on too.
     outs, real = [], harness.encode
 
     def spy(X, D, alpha, out=None):
@@ -460,9 +459,6 @@ def test_curve_encodes_every_cell_into_one_buffer(monkeypatch, dict_source, nyst
     )
     run_curve(cfg)
     assert len(outs) == 12
-    if not shared:
-        assert outs == [None] * 12
-        return
     buffer = outs[0].base
     assert buffer is not None and buffer.shape == (96 * 16,)
     for out, n in zip(outs, [96, 24] * 6):
