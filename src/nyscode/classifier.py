@@ -3,8 +3,9 @@
 Closed-form and deterministic: each class solves the same regularized normal
 equations with a different +/-1 target vector, so all classes share one matrix
 factorization. The bias acts as a constant feature excluded from the
-regularizer; the normal equations are assembled from C^T C, the column sums of
-C and C^T y, so no augmented copy of the code matrix is made.
+regularizer; the normal equations are assembled from C^T C and one product
+(targets | 1)^T C that gives C^T y and the column sums of C together, so no
+augmented copy of the code matrix is made and each product reads C once.
 
 Scores are taken as (W^T C^T)^T: threaded OpenBLAS computes C W in a resident work
 area of about N * c * 8 bytes (capped near 48 MB), (W^T C^T)^T in about 2 MB and
@@ -33,10 +34,11 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
     with a constant column appended and D is the identity with a zero in the
     bias position. F is never built: the Gram is C^T C bordered by the column
     sums of C and N in the corner, and the right-hand side is C^T y over the
-    per-class sums of y. The C^T C block and both right-hand-side parts keep
-    the bits of the augmented products; only the bias row and column of the
-    Gram (the column sums) may differ from them in the last bits, since
-    numpy's sum and the BLAS product add in different orders.
+    per-class sums of y. C^T y and the column sums come from one product
+    S C, where S stacks the L target rows over a row of ones. Only the C^T C
+    block keeps the bits of the augmented products; C^T y and the column sums
+    may differ from them in the last bits, since the products add in
+    different orders.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -49,13 +51,15 @@ def train_ridge(C: CodeMatrix, labels: np.ndarray, n_classes: int, lam: float) -
         raise ValueError("labels must lie in [0, n_classes)")
 
     V = C.values
+    S = np.ones((n_classes + 1, C.N))  # +/-1 target rows, then a row of ones
+    S[:n_classes] = np.where(np.arange(n_classes)[:, None] == labels[None, :], 1.0, -1.0)
+    P = S @ V  # one read of C: C^T y transposed, then the column sums
     gram = np.empty((C.c + 1, C.c + 1))
     gram[: C.c, : C.c] = V.T @ V
-    gram[C.c, : C.c] = gram[: C.c, C.c] = V.sum(axis=0)
+    gram[C.c, : C.c] = gram[: C.c, C.c] = P[n_classes]
     gram[C.c, C.c] = C.N
     gram[np.arange(C.c), np.arange(C.c)] += lam  # the bias is not regularized
-    targets = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
-    rhs = np.vstack([V.T @ targets, targets.sum(axis=0)])
+    rhs = np.vstack([P[:n_classes].T, S[:n_classes].sum(axis=1)])
     solution = np.linalg.solve(gram, rhs)
     return LinearModel(weights=solution[:-1, :], bias=solution[-1, :])
 

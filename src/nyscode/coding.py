@@ -58,6 +58,13 @@ class CodeMatrix:
         if lo < 0:
             raise ValueError("code matrix entries must be >= 0")
 
+    @classmethod
+    def _prechecked(cls, values: np.ndarray) -> CodeMatrix:
+        """Wrap codes whose producer has already checked them, without a second read."""
+        C = object.__new__(cls)
+        object.__setattr__(C, "values", values)
+        return C
+
     @property
     def N(self) -> int:
         return self.values.shape[0]
@@ -78,19 +85,27 @@ def encode(
     """Encode every column of X: entry (i, j) = max(0, <x_i, d_j> - alpha).
 
     ``out``, an N x c float64 array, receives the codes and becomes ``values``.
+    The codes are checked for NaN and Inf while each row block is thresholded,
+    so the returned CodeMatrix is built without a second read of them.
     """
     if X.d != D.d:
         raise ValueError(f"feature dim mismatch: data has d={X.d}, dictionary d={D.d}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if out is not None and (out.shape, out.dtype) != ((X.N, D.c), np.float64):
         raise ValueError(f"out must be a {X.N} x {D.c} float64 array, got {out.shape} {out.dtype}")
     G = np.matmul(X.values.T, D.atoms, out=out)
-    # in place, a cached row block at a time, with the dtype and bits of np.maximum(0.0, G - alpha)
+    # in place, a cached row block at a time, with the dtype and bits of np.maximum(0.0, G - alpha);
+    # a thresholded block holds only entries >= 0 or NaN, and NaN propagates through max while
+    # +inf is the max, so one max per block stands in for CodeMatrix's min/max check
     G = G.astype(np.result_type(G, alpha), copy=False)
     for start in range(0, len(G), rows := max(1, _BLOCK_BYTES // G[0].nbytes)):
         block = G[start : start + rows]
         block -= alpha
         np.maximum(0.0, block, out=block)
-    return CodeMatrix(G)
+        if not np.isfinite(block.max()):
+            raise ValueError("code matrix contains NaN or Inf")
+    return CodeMatrix._prechecked(G)
 
 
 def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:

@@ -147,6 +147,25 @@ class TestRidgeWithoutAugmentedCopy:
             assert np.linalg.norm(ours - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(predict(model, C), predict(oracle, C))
 
+    @pytest.mark.parametrize(
+        "layout, n_classes, labels_below",
+        [("c-order", 4, 3), ("f-order", 4, 4), ("column-strided", 4, 4), ("c-order", 2, 2)],
+        ids=["absent-class", "f-order", "column-strided", "two-classes"],
+    )
+    def test_one_product_rhs_matches_augmented_oracle(self, layout, n_classes, labels_below):
+        # labels_below < n_classes leaves a class whose target column is all -1
+        rng = np.random.default_rng(5)
+        values = np.maximum(0.0, rng.standard_normal((700, 38)) + 0.3)
+        if layout == "f-order":
+            values = np.asfortranarray(values)
+        C = CodeMatrix(values[:, ::2] if layout == "column-strided" else values[:, :19])
+        labels = rng.integers(0, labels_below, C.N)
+        model = train_ridge(C, labels, n_classes, 1e-3 * C.N)
+        oracle = _augmented_ridge(C, labels, n_classes, 1e-3 * C.N)
+        for ours, ref in ((model.weights, oracle.weights), (model.bias, oracle.bias)):
+            assert np.linalg.norm(ours - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(predict(model, C), predict(oracle, C))
+
     def test_peak_allocation_below_one_code_matrix(self):
         # the augmented copy alone was N x (c + 1) floats
         C, labels = _ridge_problem(20_000, 64, 4)

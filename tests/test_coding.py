@@ -147,6 +147,56 @@ class TestEncodeInto:
             encode(X, D, 0.1, out=out)
 
 
+def _overflow_problem(c, row, kind):
+    """_blocked_problem(c) with sample ``row`` and atom 0 scaled to 1e200, so that
+    only their product overflows: to +inf ("inf"), or to NaN ("nan", where the
+    atom's signs alternate and +inf meets -inf in the sum)."""
+    X, D = _blocked_problem(c)
+    x = np.abs(X.values[:, row])
+    X.values[:, row] = 1e200 * x
+    D.atoms[:, 0] = 1e200 * x * (np.resize([1.0, -1.0], x.size) if kind == "nan" else 1.0)
+    return X, D
+
+
+class TestEncodeChecksCodes:
+    @pytest.mark.parametrize("kind", ["inf", "nan"])
+    @pytest.mark.parametrize("where", ["middle-block", "ragged-last-block"])
+    @pytest.mark.parametrize("c", [13, 300])
+    def test_non_finite_code_in_a_later_block_named(self, c, where, kind):
+        rows = max(1, coding._BLOCK_BYTES // (8 * c))
+        row = rows + rows // 2 if where == "middle-block" else 2 * rows + 3
+        X, D = _overflow_problem(c, row, kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite((X.values.T @ D.atoms)[row, 0])
+            for out in (None, np.empty((X.N, c))):
+                with pytest.raises(ValueError, match="^code matrix contains NaN or Inf$"):
+                    encode(X, D, 0.25, out=out)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_named_before_the_product(self, alpha):
+        X, D = _random_problem(10)
+        out = np.full((X.N, D.c), 7.0)
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            encode(X, D, alpha, out=out)
+        assert np.all(out == 7.0)
+
+    def test_encode_builds_its_code_matrix_without_a_second_check(self, monkeypatch):
+        calls = []
+        check = CodeMatrix.__post_init__
+        monkeypatch.setattr(
+            CodeMatrix, "__post_init__", lambda self: calls.append(1) or check(self)
+        )
+        X, D = _blocked_problem(13)
+        C = encode(X, D, 0.25)
+        encode(X, D, 0.25, out=np.empty((X.N, D.c)))
+        full_code(_random_problem(0)[0], 0.25)
+        assert calls == []
+        assert isinstance(C, CodeMatrix) and C.N == X.N and C.c == D.c
+        with pytest.raises(ValueError, match=">= 0"):
+            CodeMatrix(-C.values - 1.0)
+        assert calls == [1]
+
+
 class TestFullCode:
     def test_orthonormal_samples(self):
         X = DataMatrix(np.eye(2))
