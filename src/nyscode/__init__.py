@@ -43,10 +43,11 @@ from .harness import (
 )
 from .nystrom import (
     ApproximationErrors,
+    CodeKernel,
     NystromFactors,
     approximation_errors,
+    code_kernel,
     decompose,
-    trace_scales,
 )
 from .pooling import pdl, pool
 from .spectra import SpectralReport, rank_k_residual, scaled_diag_max, spectral_report

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, classifier
-from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code, gram_kernel
+from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code
 from .data import (
     DataMatrix,
     LabeledDataset,
@@ -36,7 +36,7 @@ from .data import (
     synth_texture_images,
 )
 from .dictionary import kmeans, sample_indices
-from .nystrom import ApproximationErrors, approximation_errors, decompose, trace_scales
+from .nystrom import approximation_errors, code_kernel, decompose
 from .pooling import PoolOp, check_regions, pool, pdl
 from .spectra import SpectralReport, check_energy, spectral_report
 
@@ -332,12 +332,15 @@ def _spectral_summary(rep: SpectralReport) -> dict:
             "scaled_diag_max": rep.scaled_diag_max}
 
 
-def _cell_scorer(C: CodeMatrix) -> typing.Callable[[np.ndarray], ApproximationErrors]:
-    """idx -> the Nystrom errors of column sample idx of C, each scored from c rows of one
-    kernel K = C C^T; built after the spectrum of C, K reuses the spectrum's freed buffers."""
-    K = gram_kernel(C)
-    scales = trace_scales(C, K)
-    return lambda idx: approximation_errors(C, decompose(C, idx), scales, K)
+def _nystrom_diagnostics(X: DataMatrix, alpha: float, energy: float, draws: dict) -> tuple:
+    """(spectral report, {(c, seed): Nystrom errors}) of the full code matrix C of X and
+    of each column sample (c, seed) -> indices in ``draws``. One ``CodeKernel`` of C,
+    built after the spectrum so that it reuses the spectrum's freed buffers, scores
+    every sample; C and K are freed on return."""
+    C = full_code(X, alpha)
+    rep = spectral_report(C, energy=energy)
+    kernel = code_kernel(C) if draws else None
+    return rep, {key: approximation_errors(kernel, decompose(C, i)) for key, i in draws.items()}
 
 
 def _fit_score(
@@ -401,23 +404,22 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     if len(kept) < 2:
         raise ValueError("fewer than 2 usable codebook sizes after skipping oversized ones")
 
-    spec_rep = score = None
+    # the draws depend only on (c, seed); the diagnostics score them all before
+    # the first feature buffer exists, so C and K are freed by then
+    draws = {(c, seed): sample_indices(n_train, c, seed)
+             for c in kept for seed in cfg.seeds if cfg.dict_source == "sampled"}
+    spec_rep, errs = None, {}
     if n_train <= cfg.nystrom_limit:
-        C_full = full_code(Xtr, cfg.alpha)
-        spec_rep = spectral_report(C_full, energy=cfg.energy)
-        if cfg.dict_source == "sampled":
-            score = _cell_scorer(C_full)
+        spec_rep, errs = _nystrom_diagnostics(Xtr, cfg.alpha, cfg.energy, draws)
 
     codes = np.empty(max(n_train, Xte.N) * kept[-1])  # every cell's codes, train and test
     points: list[CurvePoint] = []
     for c in kept:
-        scores, errs = [], []
+        scores = []
         for seed in cfg.seeds:
             if cfg.dict_source == "sampled":
-                idx = sample_indices(n_train, c, seed)
-                D = Dictionary(Xtr.values[:, idx])
+                D = Dictionary(Xtr.values[:, draws[c, seed]])
             else:
-                idx = None
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
             scores.append(
                 _fit_score(
@@ -425,15 +427,13 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                     Xtr, ytr, Xte, yte, dataset.n_classes, lam,
                 )
             )
-            if score is not None:
-                e = score(idx)
-                errs.append((e.code_err, e.kernel_err))
+        cell_errs = [dataclasses.astuple(errs[c, seed]) for seed in cfg.seeds if errs]
         points.append(
             CurvePoint(
                 c=c,
                 seeds_used=len(cfg.seeds),
                 **_mean_std(_SCORES, scores),
-                **_mean_std(("code_err", "kernel_err"), errs),
+                **_mean_std(("code_err", "kernel_err"), cell_errs),
                 bound_eq1=None if spec_rep is None else bounds.eval_eq1_bound(spec_rep, c),
             )
         )
@@ -542,23 +542,21 @@ def run_nystrom_eval(cfg: NystromEvalConfig) -> ExperimentReport:
         X = synth_manifold(cfg.d, k, cfg.n_samples, cfg.noise, cfg.data_seed)
         Xn = normalize_columns(X, cfg.normalize)
         check_alpha(Xn, cfg.alpha)
-        C = full_code(Xn, cfg.alpha)
-        rep = spectral_report(C, energy=cfg.energy)
+        rep, errs = _nystrom_diagnostics(Xn, cfg.alpha, cfg.energy, draws)
         spectral[str(k)] = _spectral_summary(rep)
-        score = _cell_scorer(C)
         for c in cs:
             bound = bounds.eval_eq1_bound(rep, c)
             for seed in cfg.seeds:
-                errs = score(draws[c, seed])
+                e = errs[c, seed]
                 cells.append(
                     NystromCell(
                         k=k,
                         c=c,
                         seed=seed,
-                        code_err=errs.code_err,
-                        kernel_err=errs.kernel_err,
+                        code_err=e.code_err,
+                        kernel_err=e.kernel_err,
                         bound_eq1=bound,
-                        within_bound=errs.code_err <= bound,
+                        within_bound=e.code_err <= bound,
                     )
                 )
     coverage = float(np.mean([cell.within_bound for cell in cells]))

@@ -32,25 +32,25 @@ product of its own. With P = C E and G = E^T E,
     ||K - E M E^T||_F^2   = ||K||_F^2 - 2 <M, P^T P>   + <M G, G M>
 
 where K = C C^T is the exact kernel and the kernel identity uses
-E^T K E = P^T P. The two scales ||C||_F^2 and ||K||_F^2 (``trace_scales``;
-they are sum sigma^2 and sum sigma^4 over the singular values of C) are
-computed once per code matrix. Both identities need C to be symmetric, and
-so does the cost model: for symmetric C, P = C C[:, indices] =
-K[indices, :]^T is c rows of K. The caller builds K once per code matrix
-(one N x N syrk; in the sweeps, ``harness._cell_scorer`` holds K and the
-scales), and each sample is scored from its c rows in N c r work:
-CF = K[indices, :]^T U equals C F. In the eigenbasis the three terms of
-each are ||C||_F^2, 2 sum_i (F^T CF)_ii / lambda_i and <Nm, H>, and
-||K||_F^2, 2 <Nm, CF^T CF> and tr(Nm H Nm H).
+E^T K E = P^T P. K and the two scales ||C||_F^2 and ||K||_F^2 (sum sigma^2
+and sum sigma^4 over the singular values of C) depend on C alone, so
+``code_kernel`` builds them once per code matrix (one N x N syrk) into a
+``CodeKernel`` that every sample of C is scored against. Both identities
+need C to be symmetric, and so does the cost model: for symmetric C,
+P = C C[:, indices] = K[indices, :]^T is c rows of K, so each sample is
+scored in N c r work: CF = K[indices, :]^T U equals C F. In the eigenbasis
+the three terms of each are ||C||_F^2, 2 sum_i (F^T CF)_ii / lambda_i and
+<Nm, H>, and ||K||_F^2, 2 <Nm, CF^T CF> and tr(Nm H Nm H).
 
-Fallback. ``approximation_errors`` uses the trace forms when the caller
-passes the two scales. They subtract terms of that size, so a residual near
-zero loses its digits to cancellation; the relative error of the returned
-norm was measured at about 2e-15 over the ratio of the squared residual to
-its scale. Below ``TRACE_FLOOR`` of that scale, and whenever no scales are
-given, the residual norms are taken directly: ||C - F diag(1/lambda) F^T||_F
-and ||K - F Nm F^T||_F, against the same K the trace forms read, so the
-fallback never rebuilds it. A call given no K builds it once, for that call.
+Fallback. The trace forms subtract terms of the size of their scale, so a
+residual near zero loses its digits to cancellation; the relative error of
+the returned norm was measured at about 2e-15 over the ratio of the squared
+residual to its scale. When either squared residual lies below
+``TRACE_FLOOR`` of its scale, as for a sample that spans C, both norms are
+taken directly instead: ||C - F diag(1/lambda) F^T||_F and
+||K - F Nm F^T||_F, against the kernel's own C and K. Which path runs
+depends only on C and the sample, never on whether the caller passed a
+``CodeKernel`` or a plain matrix, so the two give the same bits.
 """
 
 from __future__ import annotations
@@ -115,50 +115,50 @@ class ApproximationErrors:
     kernel_err: float
 
 
-def trace_scales(C, K) -> tuple[float, float]:
-    """(||C||_F^2, ||K||_F^2): the scales of the trace forms, once per code matrix."""
+@dataclass(frozen=True, eq=False)
+class CodeKernel:
+    """A symmetric code matrix C with its kernel K = C C^T and the scales of the
+    trace forms, ||C||_F^2 and ||K||_F^2: everything that scoring a sample of C
+    reads besides the sample's own factors."""
+
+    C: np.ndarray
+    K: np.ndarray
+    code_scale: float
+    kernel_scale: float
+
+
+def code_kernel(C) -> CodeKernel:
+    """Build the ``CodeKernel`` of a symmetric code matrix: one syrk for K."""
     values = _matrix(C)
-    return float(np.vdot(values, values)), float(np.vdot(K, K))
+    K = gram_kernel(values)
+    return CodeKernel(values, K, float(np.vdot(values, values)), float(np.vdot(K, K)))
 
 
-def approximation_errors(C, f: NystromFactors, scales=None, K=None) -> ApproximationErrors:
+def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:
     """Frobenius errors of the code and kernel reconstructions against C and K = C C^T.
 
-    C must be symmetric (``decompose`` checks only the sampled block W).
-    ``K`` is its kernel C C^T (``coding.gram_kernel``): a sweep builds it once
-    per code matrix and passes it to every sample; left out, it is built here.
-    ``scales`` is the pair (||C||_F^2, ||K||_F^2) of ``trace_scales``. Given,
-    the errors come from the trace forms of the module docstring, N c r work
-    per call on c rows of K, unless either squared error lies below
-    ``TRACE_FLOOR`` of its scale. Otherwise, and without ``scales``, the
-    residual norms are taken directly against C and the same K.
+    ``C`` is a symmetric matrix (``decompose`` checks only the sampled block W)
+    or its ``CodeKernel``. A plain matrix has its kernel built for this call, so
+    a caller scoring several samples of one C passes ``code_kernel(C)``; either
+    way the trace forms of the module docstring run, or below ``TRACE_FLOOR``
+    the residual norms taken directly.
     """
-    values = _matrix(C)
-    n = values.shape[0]
-    if K is None:
-        K = gram_kernel(values)
-    elif np.shape(K) != (n, n):
-        raise ValueError(f"K must be the {n} x {n} kernel C C^T, got shape {np.shape(K)}")
+    kernel = C if isinstance(C, CodeKernel) else code_kernel(C)
     # C_hat = F diag(1/lambda) F^T and K_hat = F Nm F^T in the eigenbasis U of W
     F = f.E @ f.eigvecs
     inv = 1.0 / f.eigvals
     H = F.T @ F
     Nm = H * np.outer(inv, inv)
-    if scales is not None:
-        if np.shape(scales) != (2,):
-            raise ValueError(
-                f"scales must be the pair (||C||_F^2, ||K||_F^2), got shape {np.shape(scales)}"
-            )
-        code_scale, kernel_scale = map(float, scales)
-        CF = np.take(K, f.indices, axis=0).T @ f.eigvecs  # (C E) U, as C is symmetric
-        NH = Nm @ H
-        code_sq = code_scale - 2.0 * float(np.einsum("ij,ij->j", F, CF) @ inv) + np.vdot(Nm, H)
-        kernel_sq = kernel_scale - 2.0 * np.vdot(Nm, CF.T @ CF) + np.vdot(NH, NH.T)
-        if code_sq >= TRACE_FLOOR * code_scale and kernel_sq >= TRACE_FLOOR * kernel_scale:
-            return ApproximationErrors(
-                code_err=float(np.sqrt(code_sq)), kernel_err=float(np.sqrt(kernel_sq))
-            )
-    return _residual_norms(values, K, F, inv, Nm)
+    CF = np.take(kernel.K, f.indices, axis=0).T @ f.eigvecs  # (C E) U, as C is symmetric
+    NH = Nm @ H
+    code_sq = kernel.code_scale - 2.0 * float(np.einsum("ij,ij->j", F, CF) @ inv) + np.vdot(Nm, H)
+    kernel_sq = kernel.kernel_scale - 2.0 * np.vdot(Nm, CF.T @ CF) + np.vdot(NH, NH.T)
+    if (code_sq >= TRACE_FLOOR * kernel.code_scale
+            and kernel_sq >= TRACE_FLOOR * kernel.kernel_scale):
+        return ApproximationErrors(
+            code_err=float(np.sqrt(code_sq)), kernel_err=float(np.sqrt(kernel_sq))
+        )
+    return _residual_norms(kernel.C, kernel.K, F, inv, Nm)
 
 
 def _residual_norms(values, K, F, inv, Nm) -> ApproximationErrors:

@@ -77,7 +77,6 @@ def check_energy(energy: float) -> None:
 
 def _energy_rank(s: np.ndarray, energy: float) -> int:
     """Smallest k whose top-k squared singular values retain ``energy`` of the total."""
-    check_energy(energy)
     s2 = s**2
     total = s2.sum()
     if total == 0.0:

@@ -346,19 +346,20 @@ class TestSweepErrorsMatchOracle:
 
 
 class TestNoKernelInSweeps:
-    """Sweep cells build no kernel C C^T: the sweep builds one per code matrix
-    with sampled cells to score, and every cell reuses it."""
+    """Sweep cells build no kernel C C^T: the sweep builds one ``CodeKernel`` per
+    code matrix with sampled cells to score, and every cell reuses it."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
-        calls = []
-        for module in (harness, nystrom):
-            def spy(C, _real=module.gram_kernel, _name=module.__name__):
-                calls.append(_name)
-                return _real(C)
+        built = []
+        real = nystrom.gram_kernel
 
-            monkeypatch.setattr(module, "gram_kernel", spy)
-        return calls
+        def spy(C):
+            built.append(real(C))
+            return built[-1]
+
+        monkeypatch.setattr(nystrom, "gram_kernel", spy)
+        return built
 
     @pytest.mark.parametrize(
         "run, cfg, built",
@@ -371,7 +372,7 @@ class TestNoKernelInSweeps:
     )
     def test_no_kernel_built(self, kernels, run, cfg, built):
         run(cfg)
-        assert kernels == ["nyscode.harness"] * built
+        assert len(kernels) == built
 
     def test_full_sample_falls_back_on_the_sweep_kernel(self, kernels, monkeypatch):
         # c = n_train samples every column, so its errors are ~0, below TRACE_FLOOR,
@@ -386,12 +387,42 @@ class TestNoKernelInSweeps:
         monkeypatch.setattr(nystrom, "_residual_norms", spy)
         n_train = 96  # 0.8 of SMALL_CURVE's 120 samples
         rep = run_curve(CurveConfig(**{**SMALL_CURVE, "c_grid": [4, 8, n_train]}))
-        assert kernels == ["nyscode.harness"]
+        assert len(kernels) == 1
         assert len(exact) == len(SMALL_CURVE["seeds"])
         assert exact[0].shape == (n_train, n_train)
-        assert all(K is exact[0] for K in exact)
+        assert all(K is kernels[0] for K in exact)
         full = rep.curve[-1]
         assert full.c == n_train and full.code_err <= 1e-9 and full.kernel_err <= 1e-9
+
+    @pytest.mark.parametrize("dict_source", ["sampled", "kmeans"])
+    def test_code_matrix_and_kernel_freed_before_classifying(self, monkeypatch, dict_source):
+        # the N_train x N_train arrays C and K are dead by the first encode of a cell
+        refs = []
+
+        def track(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                refs.append(weakref.ref(getattr(out, "values", out)))  # C's array, or K
+                return out
+
+            monkeypatch.setattr(module, name, call)
+
+        track(harness, "full_code")
+        track(nystrom, "gram_kernel")
+        encodes = []
+        real_encode = harness.encode
+
+        def encode(*args, **kwargs):
+            if not encodes:
+                assert [ref() for ref in refs] == [None] * len(refs)
+            encodes.append(1)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "encode", encode)
+        run_curve(CurveConfig(**SMALL_CURVE, dict_source=dict_source, kmeans_iters=10))
+        assert len(refs) == (2 if dict_source == "sampled" else 1) and encodes
 
 
 class TestOneFeatureMatrixAlive:

@@ -11,8 +11,8 @@ from nyscode.nystrom import (
     PINV_TOL,
     TRACE_FLOOR,
     approximation_errors,
+    code_kernel,
     decompose,
-    trace_scales,
 )
 from nyscode.spectra import singular_values
 from oracles import reconstruct_code, reconstruct_kernel, sampled_block, w_pinv
@@ -238,13 +238,21 @@ def _code(n, seed, gap=None):
     return full_code(normalize_columns(DataMatrix(X), "unit_l2"), alpha=0.25)
 
 
+def _exact(C, f, monkeypatch):
+    """approximation_errors on its exact path, ``_residual_norms``, whatever the residual:
+    with an infinite TRACE_FLOOR every sample falls back."""
+    with monkeypatch.context() as m:
+        m.setattr(nystrom, "TRACE_FLOOR", np.inf)
+        return approximation_errors(C, f)
+
+
 class TestBlockedResiduals:
     @pytest.mark.parametrize("n", [293, 42])
-    def test_matches_direct_norms(self, n):
+    def test_matches_direct_norms(self, n, monkeypatch):
         C = _code(n, seed=n)
         K = gram_kernel(C)
         f = decompose(C, sample_indices(n, 12, 0))
-        exact = approximation_errors(C, f)
+        exact = _exact(C, f, monkeypatch)
         direct_code = np.linalg.norm(C.values - reconstruct_code(f))
         direct_kernel = np.linalg.norm(K - reconstruct_kernel(f))
         assert exact.code_err == pytest.approx(direct_code, rel=1e-12)
@@ -259,15 +267,14 @@ class TestBlockedResiduals:
         assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
 
     def test_no_n_by_n_temporary(self):
-        # given the trace scales and the kernel, scoring a sample builds no N x N matrix
+        # given the CodeKernel, scoring a sample builds no N x N matrix
         n = 512
         C = _code(n, seed=1)
-        K = gram_kernel(C)
-        scales = trace_scales(C, K)
+        kernel = code_kernel(C)
         f = decompose(C, sample_indices(n, 64, 0))
         tracemalloc.start()
         try:
-            approximation_errors(C, f, scales, K)
+            approximation_errors(kernel, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,8 +284,9 @@ class TestBlockedResiduals:
 def _count_exact(monkeypatch) -> list:
     """Record the kernel of every exact residual pass of approximation_errors
     (``_residual_norms``, which the trace path never takes), and fail any call
-    that builds C C^T: every caller here passes K, and a call given K builds
-    none, on the trace path and the fallback alike."""
+    that builds C C^T: install it after the ``CodeKernel`` is built, as every
+    caller here passes one, and a call given one builds none, on the trace path
+    and the fallback alike."""
     calls = []
     real = nystrom._residual_norms
 
@@ -298,14 +306,13 @@ class TestTraceResiduals:
     @pytest.mark.parametrize("n, c", [(96, 8), (96, 48), (160, 80), (293, 64)])
     def test_matches_exact_path(self, n, c, monkeypatch):
         C = _code(n, seed=n)
-        K = gram_kernel(C)
-        scales = trace_scales(C, K)
+        kernel = code_kernel(C)
         calls = _count_exact(monkeypatch)
         for seed in range(3):
             f = decompose(C, sample_indices(n, c, seed))
-            trace = approximation_errors(C, f, scales, K)
+            trace = approximation_errors(kernel, f)
             assert not calls
-            exact = approximation_errors(C, f, K=K)
+            exact = _exact(kernel, f, monkeypatch)
             calls.clear()
             assert trace.code_err == pytest.approx(exact.code_err, rel=1e-10)
             assert trace.kernel_err == pytest.approx(exact.kernel_err, rel=1e-10)
@@ -314,13 +321,12 @@ class TestTraceResiduals:
     def test_near_singular_w_with_error_above_norm(self, seed, monkeypatch):
         n = 160
         C = _code(n, seed, gap=1e-4)
-        K = gram_kernel(C)
-        scales = trace_scales(C, K)
+        kernel = code_kernel(C)
         f = decompose(C, np.concatenate([[0, 1], 2 + sample_indices(n - 2, 62, seed)]))
         calls = _count_exact(monkeypatch)
-        trace = approximation_errors(C, f, scales, K)
+        trace = approximation_errors(kernel, f)
         assert not calls
-        exact = approximation_errors(C, f, K=K)
+        exact = _exact(kernel, f, monkeypatch)
         assert abs(f.eigvals[0] / f.eigvals[-1]) > 1e7
         assert exact.code_err > np.linalg.norm(C.values)
         assert trace.code_err == pytest.approx(exact.code_err, rel=1e-10)
@@ -329,26 +335,27 @@ class TestTraceResiduals:
     def test_full_sample_uses_exact_path(self, monkeypatch):
         n = 40
         C = _code(n, seed=2)
-        K = gram_kernel(C)
+        kernel = code_kernel(C)
         calls = _count_exact(monkeypatch)
-        errs = approximation_errors(C, decompose(C, np.arange(n)), trace_scales(C, K), K)
-        assert len(calls) == 1 and calls[0] is K
+        errs = approximation_errors(kernel, decompose(C, np.arange(n)))
+        assert len(calls) == 1 and calls[0] is kernel.K
         assert errs.code_err <= 1e-9 * np.linalg.norm(C.values)
-        assert errs.kernel_err <= 1e-9 * np.linalg.norm(K)
+        assert errs.kernel_err <= 1e-9 * np.linalg.norm(kernel.K)
 
     def test_low_rank_recovery_uses_exact_path(self, monkeypatch):
         # exact recovery of rank-r PSD matrices from r spanning columns, as in criterion 1
         rng = np.random.default_rng(2024)
-        calls = _count_exact(monkeypatch)
+        samples = []
         for r in (1, 2, 3, 4):
             A = rng.standard_normal((32, r))
             C = A @ A.T
             C = (C + C.T) / 2.0
-            idx = _spanning_columns(C, r, r)
-            K = C @ C
-            errs = approximation_errors(C, decompose(C, idx), trace_scales(C, K), K)
+            samples.append((C, _spanning_columns(C, r, r), code_kernel(C)))
+        calls = _count_exact(monkeypatch)
+        for C, idx, kernel in samples:
+            errs = approximation_errors(kernel, decompose(C, idx))
             assert errs.code_err <= 1e-8 * np.linalg.norm(C)
-            assert errs.kernel_err <= 1e-7 * np.linalg.norm(K)
+            assert errs.kernel_err <= 1e-7 * np.linalg.norm(kernel.K)
         assert len(calls) == 4
 
     def test_floor_applies_to_each_residual(self, monkeypatch):
@@ -356,55 +363,54 @@ class TestTraceResiduals:
         # the second the code residual; a floor between the two falls back in both
         n = 96
         C = _code(n, seed=n)
-        K = gram_kernel(C)
-        scales = trace_scales(C, K)
+        kernel = code_kernel(C)
         calls = _count_exact(monkeypatch)
         smaller = []
         for seed in (0, 1):
             f = decompose(C, sample_indices(n, 48, seed))
-            exact = approximation_errors(C, f, K=K)
+            exact = _exact(kernel, f, monkeypatch)
             ratios = {
-                "code": exact.code_err**2 / scales[0],
-                "kernel": exact.kernel_err**2 / scales[1],
+                "code": exact.code_err**2 / kernel.code_scale,
+                "kernel": exact.kernel_err**2 / kernel.kernel_scale,
             }
             lo, hi = sorted(ratios.values())
             smaller.append(min(ratios, key=ratios.get))
             for floor, fallback in [(0.99 * lo, False), (np.sqrt(lo * hi), True)]:
                 monkeypatch.setattr(nystrom, "TRACE_FLOOR", floor)
                 calls.clear()
-                approximation_errors(C, f, scales, K)
+                approximation_errors(kernel, f)
                 assert bool(calls) == fallback
         assert smaller == ["kernel", "code"]
 
-    def test_workload_shaped_cells_stay_above_floor(self):
+    def test_workload_shaped_cells_stay_above_floor(self, monkeypatch):
         C = _code(128, seed=7)
         s = singular_values(C)
         for c in (16, 32, 64):
-            exact = approximation_errors(C, decompose(C, sample_indices(128, c, 0)))
+            exact = _exact(C, decompose(C, sample_indices(128, c, 0)), monkeypatch)
             assert exact.code_err**2 > 100 * TRACE_FLOOR * np.sum(s**2)
 
     def test_scales_are_spectral_sums(self):
         # ||C||_F^2 = sum sigma^2 and ||K||_F^2 = sum sigma^4 over the singular values of C
         C = _code(96, seed=4)
         s = singular_values(C)
-        code_scale, kernel_scale = trace_scales(C, gram_kernel(C))
-        assert code_scale == pytest.approx(np.sum(s**2), rel=1e-12)
-        assert kernel_scale == pytest.approx(np.sum(s**4), rel=1e-12)
+        kernel = code_kernel(C)
+        assert kernel.code_scale == pytest.approx(np.sum(s**2), rel=1e-12)
+        assert kernel.kernel_scale == pytest.approx(np.sum(s**4), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "scales",
-        [np.ones(20), (1.0,), (1.0, 2.0, 3.0), np.ones((2, 2))],
-        ids=["spectrum", "one", "three", "2x2"],
-    )
-    def test_scales_checked(self, scales):
-        C = _code(20, seed=0)
-        with pytest.raises(ValueError, match="scales must be the pair"):
-            approximation_errors(C, decompose(C, [0, 1]), scales)
+    @pytest.mark.parametrize("n, c, fallback", [(96, 48, False), (40, 40, True)],
+                             ids=["trace", "full-sample-fallback"])
+    def test_plain_matrix_matches_code_kernel_bit_for_bit(self, n, c, fallback, monkeypatch):
+        # a plain C has its kernel built for the call; the same path runs either way
+        C = _code(n, seed=n)
+        f = decompose(C, sample_indices(n, c, 0))
+        exact = []
+        real = nystrom._residual_norms
 
-    @pytest.mark.parametrize("shape", [(19, 19), (20, 19), (20,), (20, 20, 1)])
-    def test_kernel_shape_checked(self, shape):
-        C = _code(20, seed=0)
-        f = decompose(C, [0, 1])
-        for scales in (None, trace_scales(C, gram_kernel(C))):
-            with pytest.raises(ValueError, match="kernel"):
-                approximation_errors(C, f, scales, np.ones(shape))
+        def spy(*args):
+            exact.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nystrom, "_residual_norms", spy)
+        for matrix in (C, C.values):
+            assert approximation_errors(matrix, f) == approximation_errors(code_kernel(C), f)
+        assert len(exact) == (4 if fallback else 0)
