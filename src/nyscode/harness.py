@@ -336,11 +336,14 @@ def _nystrom_diagnostics(X: DataMatrix, alpha: float, energy: float, draws: dict
     """(spectral report, {(c, seed): Nystrom errors}) of the full code matrix C of X and
     of each column sample (c, seed) -> indices in ``draws``. One ``CodeKernel`` of C,
     built after the spectrum so that it reuses the spectrum's freed buffers, scores
-    every sample; C and K are freed on return."""
+    every sample, largest c first, so its workspace is allocated once; C and K are
+    freed on return."""
     C = full_code(X, alpha)
     rep = spectral_report(C, energy=energy)
     kernel = code_kernel(C) if draws else None
-    return rep, {key: approximation_errors(kernel, decompose(C, i)) for key, i in draws.items()}
+    largest_first = sorted(draws, key=lambda key: -len(draws[key]))
+    return rep, {key: approximation_errors(kernel, decompose(C, draws[key]))
+                 for key in largest_first}
 
 
 def _fit_score(

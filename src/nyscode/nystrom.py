@@ -42,6 +42,16 @@ scored in N c r work: CF = K[indices, :]^T U equals C F. In the eigenbasis
 the three terms of each are ||C||_F^2, 2 sum_i (F^T CF)_ii / lambda_i and
 <Nm, H>, and ||K||_F^2, 2 <Nm, CF^T CF> and tr(Nm H Nm H).
 
+Memory. ``decompose`` gathers only the c x c block W; the factors hold C by
+reference, and E = C[:, indices] is gathered only when it is read. Scoring
+writes into one workspace that the ``CodeKernel`` owns, N (c + 2r) doubles
+that grow to the largest sample scored and are reused by every later one:
+a c x N block takes the sampled rows of C (equal to E^T, as C is symmetric;
+a row gather reads c contiguous rows where the column gather strides over
+all N) for F = (C[indices, :])^T U, and then the rows K[indices, :] for CF,
+and F and CF each take N x r. A sample that fits the workspace as it stands
+allocates nothing of size N.
+
 Fallback. The trace forms subtract terms of the size of their scale, so a
 residual near zero loses its digits to cancellation; the relative error of
 the returned norm was measured at about 2e-15 over the ratio of the squared
@@ -55,7 +65,7 @@ depends only on C and the sample, never on whether the caller passed a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,41 +82,50 @@ TRACE_FLOOR = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class NystromFactors:
-    """Sampled columns E and the eigenpairs of the sampled square block W kept
-    for its pseudo-inverse (W ~ eigvecs diag(eigvals) eigvecs^T)."""
+    """Sampled column indices of a symmetric matrix C, which is held by reference,
+    and the eigenpairs of the sampled square block W kept for its pseudo-inverse
+    (W ~ eigvecs diag(eigvals) eigvecs^T)."""
 
     indices: np.ndarray
-    E: np.ndarray
+    C: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
 
+    @property
+    def E(self) -> np.ndarray:
+        """The sampled columns C[:, indices] (N x c), gathered on each access."""
+        return np.take(self.C, self.indices, axis=1)
+
 
 def decompose(C, indices) -> NystromFactors:
-    """Slice the sampled factors out of a square symmetric matrix.
+    """Take the eigenpairs of the sampled block of a square symmetric matrix.
 
-    ``indices`` must be distinct and within range, and the sampled block W
-    must equal its transpose. The pseudo-inverse drops eigenvalues whose
-    magnitude is at most ``PINV_TOL`` times the largest one.
+    ``indices`` must be integers, distinct and within range, and the sampled
+    block W = C[indices, indices], the only part of C that is copied, must equal
+    its transpose. The pseudo-inverse drops eigenvalues whose magnitude is at
+    most ``PINV_TOL`` times the largest one.
     """
     values = _matrix(C)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"C must be square, got shape {values.shape}")
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError("indices must be a non-empty 1-D sequence")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(int, copy=False)
     if len(np.unique(idx)) != idx.size:
         raise ValueError("indices must be distinct")
     if idx.min() < 0 or idx.max() >= values.shape[0]:
         raise ValueError(f"indices out of range 0..{values.shape[0] - 1}")
-    E = np.take(values, idx, axis=1)
-    W = E[idx, :]
+    W = values[np.ix_(idx, idx)]
     if not np.array_equal(W, W.T):
         raise ValueError("C must be symmetric: the sampled block W differs from its transpose")
     lam, U = np.linalg.eigh(W)
     mag = np.abs(lam)
     order = np.argsort(mag)[::-1]
     kept = order[mag[order] > PINV_TOL * mag[order[0]]]
-    return NystromFactors(indices=idx, E=E, eigvals=lam[kept], eigvecs=U[:, kept])
+    return NystromFactors(indices=idx, C=values, eigvals=lam[kept], eigvecs=U[:, kept])
 
 
 @dataclass(frozen=True)
@@ -115,16 +134,29 @@ class ApproximationErrors:
     kernel_err: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CodeKernel:
     """A symmetric code matrix C with its kernel K = C C^T and the scales of the
     trace forms, ||C||_F^2 and ||K||_F^2: everything that scoring a sample of C
-    reads besides the sample's own factors."""
+    reads besides the sample's own factors.
+
+    It also owns the workspace that ``approximation_errors`` writes each sample's
+    N x c and N x r arrays into, reused from sample to sample, so a CodeKernel is
+    not safe to share between threads.
+    """
 
     C: np.ndarray
     K: np.ndarray
     code_scale: float
     kernel_scale: float
+    _work: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
+
+    def workspace(self, size: int) -> np.ndarray:
+        """``size`` doubles of the workspace, which only grows: to the largest size asked for."""
+        if self._work.size < size:
+            self._work = np.empty(0)  # free the old buffer before the new one is allocated
+            self._work = np.empty(size)
+        return self._work[:size]
 
 
 def code_kernel(C) -> CodeKernel:
@@ -138,18 +170,32 @@ def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:
     """Frobenius errors of the code and kernel reconstructions against C and K = C C^T.
 
     ``C`` is a symmetric matrix (``decompose`` checks only the sampled block W)
-    or its ``CodeKernel``. A plain matrix has its kernel built for this call, so
-    a caller scoring several samples of one C passes ``code_kernel(C)``; either
-    way the trace forms of the module docstring run, or below ``TRACE_FLOOR``
-    the residual norms taken directly.
+    or its ``CodeKernel``, of the size of the matrix ``f`` was sampled from. A
+    plain matrix has its kernel built for this call, so a caller scoring several
+    samples of one C passes ``code_kernel(C)``, whose workspace every sample
+    reuses; either way the trace forms of the module docstring run, or below
+    ``TRACE_FLOOR`` the residual norms taken directly.
     """
-    kernel = C if isinstance(C, CodeKernel) else code_kernel(C)
-    # C_hat = F diag(1/lambda) F^T and K_hat = F Nm F^T in the eigenbasis U of W
-    F = f.E @ f.eigvecs
+    values = C.C if isinstance(C, CodeKernel) else _matrix(C)
+    n = f.C.shape[0]
+    if values.shape[0] != n:
+        raise ValueError(f"the factors were sampled from an N={n} matrix, "
+                         f"but C has N={values.shape[0]}")
+    kernel = C if isinstance(C, CodeKernel) else code_kernel(values)
+    c, r = f.indices.size, f.eigvals.size
+    work = kernel.workspace(n * (c + 2 * r))
+    rows = work[: c * n].reshape(c, n)
+    F = work[c * n : (c + r) * n].reshape(n, r)
+    CF = work[(c + r) * n :].reshape(n, r)
+    # C_hat = F diag(1/lambda) F^T and K_hat = F Nm F^T in the eigenbasis U of W. As C
+    # is symmetric, F = E U = C[indices, :]^T U and CF = (C E) U = K[indices, :]^T U, so
+    # one c x N block takes the rows of C and then those of K. decompose range-checked
+    # the indices; mode "clip" keeps take from buffering ``rows`` in a copy of its size
+    np.matmul(np.take(f.C, f.indices, axis=0, out=rows, mode="clip").T, f.eigvecs, out=F)
+    np.matmul(np.take(kernel.K, f.indices, axis=0, out=rows, mode="clip").T, f.eigvecs, out=CF)
     inv = 1.0 / f.eigvals
     H = F.T @ F
     Nm = H * np.outer(inv, inv)
-    CF = np.take(kernel.K, f.indices, axis=0).T @ f.eigvecs  # (C E) U, as C is symmetric
     NH = Nm @ H
     code_sq = kernel.code_scale - 2.0 * float(np.einsum("ij,ij->j", F, CF) @ inv) + np.vdot(Nm, H)
     kernel_sq = kernel.kernel_scale - 2.0 * np.vdot(Nm, CF.T @ CF) + np.vdot(NH, NH.T)

@@ -394,6 +394,27 @@ class TestNoKernelInSweeps:
         full = rep.curve[-1]
         assert full.c == n_train and full.code_err <= 1e-9 and full.kernel_err <= 1e-9
 
+    def test_draws_scored_largest_first_into_one_workspace(self, monkeypatch):
+        # per code matrix, the largest c sizes the kernel's workspace once for every draw
+        scored = []
+        real = harness.approximation_errors
+
+        def spy(kernel, f):
+            out = real(kernel, f)
+            scored.append((kernel, f.indices.size, kernel.workspace(0).base))
+            return out
+
+        monkeypatch.setattr(harness, "approximation_errors", spy)
+        cfg = NystromEvalConfig(**{**SMALL_NYSTROM, "k_list": [2, 4]})
+        rep = run_nystrom_eval(cfg)
+        cells = len(cfg.c_grid) * len(cfg.seeds)
+        assert len(rep.cells) == 2 * cells
+        for k in range(2):
+            kernels, sizes, buffers = zip(*scored[k * cells:(k + 1) * cells])
+            assert all(kernel is kernels[0] for kernel in kernels)
+            assert list(sizes) == sorted(sizes, reverse=True)
+            assert all(buffer is buffers[0] for buffer in buffers)
+
     @pytest.mark.parametrize("dict_source", ["sampled", "kmeans"])
     def test_code_matrix_and_kernel_freed_before_classifying(self, monkeypatch, dict_source):
         # the N_train x N_train arrays C and K are dead by the first encode of a cell

@@ -83,6 +83,29 @@ class TestDecompose:
             decompose(C, [1, 3])
 
     @pytest.mark.parametrize(
+        "indices, dtype",
+        [([0.5, 1.7, 3.2], "float64"), ([True, True, False, False, False], "bool")],
+        ids=["float", "boolean-mask"],
+    )
+    def test_non_integer_indices_rejected(self, indices, dtype):
+        # neither is truncated nor read as the indices 0 and 1
+        with pytest.raises(ValueError, match=f"indices must be integers, got dtype {dtype}"):
+            decompose(np.eye(5), indices)
+
+    def test_factors_hold_c_and_copy_only_w(self):
+        C = _code(768, seed=5).values
+        idx = sample_indices(768, 64, 0)
+        tracemalloc.start()
+        try:
+            f = decompose(C, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 64 * 8
+        assert f.C is C
+        assert np.array_equal(f.E, C[:, idx])
+
+    @pytest.mark.parametrize(
         "make, c, kept",
         [
             (lambda: _random_psd(12, 6, seed=6), 4, 4),  # full-rank W
@@ -197,6 +220,15 @@ class TestApproximationErrors:
         assert errs.code_err >= 0.0
         assert errs.kernel_err >= 0.0
 
+    @pytest.mark.parametrize("n_factors", [48, 24], ids=["larger", "smaller"])
+    def test_factors_of_another_size_rejected(self, n_factors):
+        kernel = code_kernel(_code(32, seed=0))
+        f = decompose(_code(n_factors, seed=1), np.arange(0, 24, 3))
+        for C in (kernel, kernel.C):
+            with pytest.raises(ValueError, match=f"N={n_factors} matrix, but C has N=32"):
+                approximation_errors(C, f)
+        assert kernel.workspace(0).base.size == 0  # rejected before the workspace grew
+
 
 def _spanning_columns(C, rank, seed):
     # draw column subsets until the sampled block has full numerical rank
@@ -279,6 +311,42 @@ class TestBlockedResiduals:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+
+class TestWorkspaceReuse:
+    """Each CodeKernel scores every sample in one workspace that it owns; reusing
+    it gives the bits of a fresh kernel per call, and allocates nothing of size N."""
+
+    def test_any_order_of_sizes_matches_fresh_kernels(self):
+        n = 192
+        C = _code(n, seed=11)
+        kernel = code_kernel(C)
+        for c, seed in [(128, 0), (16, 1), (128, 2), (n, 0)]:  # the last falls back
+            f = decompose(C, sample_indices(n, c, seed))
+            assert approximation_errors(kernel, f) == approximation_errors(code_kernel(C), f)
+
+    def test_alternating_kernels_match_fresh_kernels(self):
+        codes = [_code(96, seed=1), _code(160, seed=2)]
+        kernels = [code_kernel(C) for C in codes]
+        for step in range(6):
+            which = step % 2
+            C = codes[which]
+            f = decompose(C, sample_indices(C.values.shape[0], (16, 64, 32)[step // 2], step))
+            assert approximation_errors(kernels[which], f) == approximation_errors(code_kernel(C), f)
+
+    def test_second_sample_allocates_nothing_of_size_n_by_c(self):
+        n, c = 768, 64
+        C = _code(n, seed=5)
+        kernel = code_kernel(C)
+        approximation_errors(kernel, decompose(C, sample_indices(n, c, 0)))
+        f = decompose(C, sample_indices(n, c, 1))
+        tracemalloc.start()
+        try:
+            approximation_errors(kernel, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * c * 8
 
 
 def _count_exact(monkeypatch) -> list:
