@@ -15,7 +15,7 @@ from .bounds import (
     fit_two_point,
 )
 from .classifier import LinearModel, accuracy, train_ridge
-from .coding import CodeMatrix, Dictionary, encode, full_code, gram_kernel
+from .coding import CodeMatrix, Dictionary, encode, full_code
 from .data import (
     DataMatrix,
     FormatError,

@@ -120,14 +120,3 @@ def full_code(X: DataMatrix, alpha: float) -> CodeMatrix:
         X = DataMatrix(np.ascontiguousarray(X.values))
     return encode(X, Dictionary(X.values), alpha)
 
-
-def gram_kernel(C) -> np.ndarray:
-    """Kernel matrix K = C C^T between encoded samples (N x N, PSD).
-
-    numpy computes a product with its own transpose by one syrk and copies
-    one triangle into the other, so K equals its transpose bit for bit with
-    no symmetrizing pass.
-    """
-    values = _matrix(C)
-    return values @ values.T
-

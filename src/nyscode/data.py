@@ -217,7 +217,8 @@ def normalize_columns(X: DataMatrix, mode: str) -> DataMatrix:
     """Normalize each column: subtract its mean, scale it to unit norm, or both.
 
     Zero columns (including columns that become zero after centering) pass
-    through unchanged.
+    through unchanged. A column whose sum of squares overflows, or falls below
+    the smallest normal float, is first divided by its largest magnitude.
     """
     if mode not in get_args(NormalizeMode):
         raise ValueError(f"mode must be one of {get_args(NormalizeMode)}, got {mode!r}")
@@ -225,7 +226,13 @@ def normalize_columns(X: DataMatrix, mode: str) -> DataMatrix:
     if mode in ("mean_center", "both"):
         values -= values.mean(axis=0, keepdims=True)
     if mode in ("unit_l2", "both"):
-        norms = np.linalg.norm(values, axis=0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(values, axis=0)
+        # sqrt(tiny) = 2**-511 exactly, so this flags the sums of squares below tiny
+        for j in np.flatnonzero(np.isinf(norms) | (norms < np.sqrt(np.finfo(float).tiny))):
+            if peak := np.abs(values[:, j]).max():
+                values[:, j] /= peak
+                norms[j] = np.linalg.norm(values[:, j])
         norms[norms == 0.0] = 1.0
         values /= norms
     return DataMatrix(values)

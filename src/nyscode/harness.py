@@ -162,6 +162,11 @@ class CurveConfig(_Config):
         super().__post_init__()
         if len(grid := sorted(set(self.c_grid))) < 3:
             raise ValueError(f"c grid needs at least 3 distinct values, got {grid}")
+        if self.dataset == "csv" and self.path is None:
+            raise ValueError("config key 'path' is required when dataset is 'csv'")
+        if self.dataset != "csv" and self.path is not None:
+            raise ValueError(f"config key 'path' is read only when dataset is 'csv', "
+                             f"got dataset {self.dataset!r}")
 
 
 @dataclass
@@ -305,8 +310,6 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
             within=cfg.within,
             modes_per_class=cfg.modes_per_class,
         )
-    elif cfg.path is None:
-        raise ValueError("dataset='csv' requires a path")
     else:
         ds = load_csv(cfg.path, has_labels=True)
     return LabeledDataset(normalize_columns(ds.data, cfg.normalize), ds.labels, ds.n_classes)

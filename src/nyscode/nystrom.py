@@ -58,9 +58,10 @@ the returned norm was measured at about 2e-15 over the ratio of the squared
 residual to its scale. When either squared residual lies below
 ``TRACE_FLOOR`` of its scale, as for a sample that spans C, both norms are
 taken directly instead: ||C - F diag(1/lambda) F^T||_F and
-||K - F Nm F^T||_F, against the kernel's own C and K. Which path runs
-depends only on C and the sample, never on whether the caller passed a
-``CodeKernel`` or a plain matrix, so the two give the same bits.
+||K - F Nm F^T||_F, against the kernel's own C and K. A sample is scored
+only against the matrix it was drawn from, given as that array, an equal
+copy or its ``CodeKernel``. Which path runs depends only on C and the
+sample, so the plain matrix and its ``CodeKernel`` give the same bits.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import _matrix, gram_kernel
+from .coding import _matrix
 
 # eigenvalues of W at or below this fraction of the largest magnitude are dropped
 PINV_TOL = 1e-10
@@ -160,28 +161,32 @@ class CodeKernel:
 
 
 def code_kernel(C) -> CodeKernel:
-    """Build the ``CodeKernel`` of a symmetric code matrix: one syrk for K."""
+    """Build the ``CodeKernel`` of a symmetric code matrix. numpy takes K = C C^T
+    by one syrk and copies one triangle into the other, so K equals its
+    transpose bit for bit with no symmetrizing pass."""
     values = _matrix(C)
-    K = gram_kernel(values)
+    K = values @ values.T
     return CodeKernel(values, K, float(np.vdot(values, values)), float(np.vdot(K, K)))
 
 
 def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:
     """Frobenius errors of the code and kernel reconstructions against C and K = C C^T.
 
-    ``C`` is a symmetric matrix (``decompose`` checks only the sampled block W)
-    or its ``CodeKernel``, of the size of the matrix ``f`` was sampled from. A
-    plain matrix has its kernel built for this call, so a caller scoring several
-    samples of one C passes ``code_kernel(C)``, whose workspace every sample
-    reuses; either way the trace forms of the module docstring run, or below
-    ``TRACE_FLOOR`` the residual norms taken directly.
+    ``C`` is the symmetric matrix ``f`` was sampled from (``decompose`` checks
+    only W), as that array or an equal copy, or its ``CodeKernel``; any other
+    matrix is rejected. A plain matrix has its kernel built for this call, so
+    a caller scoring several samples of one C passes ``code_kernel(C)``, whose
+    workspace every sample reuses; either way the trace forms of the module
+    docstring run, or below ``TRACE_FLOOR`` the residual norms taken directly.
     """
-    values = C.C if isinstance(C, CodeKernel) else _matrix(C)
+    kernel = C if isinstance(C, CodeKernel) else None
+    source = _matrix(C) if kernel is None else kernel.C
     n = f.C.shape[0]
-    if values.shape[0] != n:
-        raise ValueError(f"the factors were sampled from an N={n} matrix, "
-                         f"but C has N={values.shape[0]}")
-    kernel = C if isinstance(C, CodeKernel) else code_kernel(values)
+    # the sweeps pass decompose's own array, so only a copy is read to compare
+    if source is not f.C and not np.array_equal(source, f.C):
+        other = f"has N={source.shape[0]}" if source.shape[0] != n else "is another matrix"
+        raise ValueError(f"the factors were sampled from an N={n} matrix, but C {other}")
+    kernel = kernel or code_kernel(f.C)
     c, r = f.indices.size, f.eigvals.size
     work = kernel.workspace(n * (c + 2 * r))
     rows = work[: c * n].reshape(c, n)

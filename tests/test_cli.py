@@ -180,10 +180,15 @@ class TestConfigRejectedBeforeWork:
             ("curve", dict(CURVE_CFG, split_fraction=1.0),
              "split_fraction must be in (0, 1), got 1.0"),
             ("pdl", dict(PDL, split_fraction=0.0), "split_fraction must be in (0, 1), got 0.0"),
+            ("curve", dict(CURVE_CFG, path="/nonexistent/my.csv"),
+             "config key 'path' is read only when dataset is 'csv', got dataset 'synth'"),
+            ("curve", dict(CURVE_CFG, dataset="csv"),
+             "config key 'path' is required when dataset is 'csv'"),
         ],
         ids=["c_grid-zero", "overshoot-too-large", "final_c-zero", "regions-too-large",
              "overshoot-zero", "pool_op", "dict_source", "dataset", "normalize", "energy",
-             "curve-split_fraction", "pdl-split_fraction"],
+             "curve-split_fraction", "pdl-split_fraction", "path-without-csv",
+             "csv-without-path"],
     )
     def test_exits_2_naming_key_before_any_fit(self, tmp_path, capsys, spies, command,
                                                  payload, named):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nyscode import coding
-from nyscode.coding import CodeMatrix, Dictionary, encode, full_code, gram_kernel
+from nyscode.coding import CodeMatrix, Dictionary, encode, full_code
 from nyscode.data import DataMatrix
+from nyscode.nystrom import code_kernel
 
 
 def _random_problem(seed, d=4, N=6, c=3):
@@ -267,18 +268,20 @@ class TestFullCodeBits:
 
 
 class TestGramKernel:
+    """The kernel K = C C^T of a code matrix, as ``nystrom.code_kernel`` builds it."""
+
     def test_identity(self):
-        K = gram_kernel(CodeMatrix(np.eye(3)))
+        K = code_kernel(CodeMatrix(np.eye(3))).K
         assert np.array_equal(K, np.eye(3))
 
     def test_single_column_rank_one(self):
         v = np.array([[1.0], [2.0], [3.0]])
-        K = gram_kernel(CodeMatrix(v))
+        K = code_kernel(CodeMatrix(v)).K
         assert np.array_equal(K, v @ v.T)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_symmetric_psd(self, seed):
         vals = np.abs(np.random.default_rng(seed).standard_normal((5, 4)))
-        K = gram_kernel(CodeMatrix(vals))
+        K = code_kernel(CodeMatrix(vals)).K
         assert np.array_equal(K, K.T)
         assert np.linalg.eigvalsh(K).min() >= -1e-10

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ class TestNormalizeColumns:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             normalize_columns(DataMatrix(np.ones((2, 2))), "sphere")
+
+    @pytest.mark.parametrize("mode", ["unit_l2", "both"])
+    def test_extreme_magnitudes_scaled_to_unit_norm(self, mode):
+        # sums of squares that overflow (1e200 and up) or fall below the smallest
+        # normal float (1e-160 and down) still give unit columns, with no warning
+        scales = 10.0 ** np.arange(-300, 301, 20)
+        X = DataMatrix(np.array([[1.0], [2.0], [-4.0]]) * scales)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_columns(X, mode).values
+        assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() <= 1e-15
+
+    def test_ordinary_columns_keep_their_bits(self):
+        X = DataMatrix(np.random.default_rng(7).standard_normal((5, 40)) * 3.0)
+        expected = X.values / np.linalg.norm(X.values, axis=0)
+        assert np.array_equal(normalize_columns(X, "unit_l2").values, expected)
 
 
 class TestLoadCsv:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import typing
 import weakref
 
@@ -120,6 +121,17 @@ class TestConfigParsing:
         }[cls]
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
             cls.from_dict({**required, key: value})
+
+    @pytest.mark.parametrize(
+        "extra, shown",
+        [({"path": "/nonexistent/my.csv"},
+          "config key 'path' is read only when dataset is 'csv', got dataset 'synth'"),
+         ({"dataset": "csv"}, "config key 'path' is required when dataset is 'csv'")],
+        ids=["path-without-csv", "csv-without-path"],
+    )
+    def test_path_only_with_csv_dataset(self, extra, shown):
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            CurveConfig(c_grid=[4, 8, 16], seeds=[0], n_samples=60, **extra)
 
     def test_int_range_edges_accepted(self):
         cfg = CurveConfig(c_grid=[4, 8, 16], seeds=[0, 2**63 - 1], split_seed=0)
@@ -351,14 +363,17 @@ class TestNoKernelInSweeps:
 
     @pytest.fixture
     def kernels(self, monkeypatch):
+        # the K of every CodeKernel built, by the sweep or inside approximation_errors
         built = []
-        real = nystrom.gram_kernel
+        real = nystrom.code_kernel
 
         def spy(C):
-            built.append(real(C))
-            return built[-1]
+            kernel = real(C)
+            built.append(kernel.K)
+            return kernel
 
-        monkeypatch.setattr(nystrom, "gram_kernel", spy)
+        monkeypatch.setattr(harness, "code_kernel", spy)
+        monkeypatch.setattr(nystrom, "code_kernel", spy)
         return built
 
     @pytest.mark.parametrize(
@@ -420,18 +435,18 @@ class TestNoKernelInSweeps:
         # the N_train x N_train arrays C and K are dead by the first encode of a cell
         refs = []
 
-        def track(module, name):
+        def track(module, name, array):
             real = getattr(module, name)
 
             def call(*args, **kwargs):
                 out = real(*args, **kwargs)
-                refs.append(weakref.ref(getattr(out, "values", out)))  # C's array, or K
+                refs.append(weakref.ref(array(out)))
                 return out
 
             monkeypatch.setattr(module, name, call)
 
-        track(harness, "full_code")
-        track(nystrom, "gram_kernel")
+        track(harness, "full_code", lambda C: C.values)
+        track(harness, "code_kernel", lambda kernel: kernel.K)
         encodes = []
         real_encode = harness.encode
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nyscode import nystrom
-from nyscode.coding import CodeMatrix, full_code, gram_kernel
+from nyscode.coding import CodeMatrix, full_code
 from nyscode.data import DataMatrix, normalize_columns
 from nyscode.dictionary import sample_indices
 from nyscode.nystrom import (
@@ -229,6 +229,22 @@ class TestApproximationErrors:
                 approximation_errors(C, f)
         assert kernel.workspace(0).base.size == 0  # rejected before the workspace grew
 
+    def test_sample_of_another_matrix_of_the_same_size_rejected(self, monkeypatch):
+        # a sample is scored only against the matrix it was drawn from, whatever the
+        # form of the other matrix, and before any kernel is built or workspace grown
+        other = _code(64, seed=1)
+        kernel = code_kernel(other)
+        f = decompose(_code(64, seed=0), sample_indices(64, 16, 0))
+
+        def no_kernel(C):
+            raise AssertionError("a kernel was built for a sample of another matrix")
+
+        monkeypatch.setattr(nystrom, "code_kernel", no_kernel)
+        for C in (kernel, other, other.values, other.values.tolist()):
+            with pytest.raises(ValueError, match="N=64 matrix, but C is another matrix"):
+                approximation_errors(C, f)
+        assert kernel.workspace(0).base.size == 0
+
 
 def _spanning_columns(C, rank, seed):
     # draw column subsets until the sampled block has full numerical rank
@@ -278,11 +294,11 @@ def _exact(C, f, monkeypatch):
         return approximation_errors(C, f)
 
 
-class TestBlockedResiduals:
+class TestExactResiduals:
     @pytest.mark.parametrize("n", [293, 42])
     def test_matches_direct_norms(self, n, monkeypatch):
         C = _code(n, seed=n)
-        K = gram_kernel(C)
+        K = code_kernel(C).K
         f = decompose(C, sample_indices(n, 12, 0))
         exact = _exact(C, f, monkeypatch)
         direct_code = np.linalg.norm(C.values - reconstruct_code(f))
@@ -366,7 +382,7 @@ def _count_exact(monkeypatch) -> list:
         raise AssertionError("approximation_errors built C C^T although it was given K")
 
     monkeypatch.setattr(nystrom, "_residual_norms", spy)
-    monkeypatch.setattr(nystrom, "gram_kernel", no_kernel)
+    monkeypatch.setattr(nystrom, "code_kernel", no_kernel)
     return calls
 
 
@@ -468,7 +484,8 @@ class TestTraceResiduals:
     @pytest.mark.parametrize("n, c, fallback", [(96, 48, False), (40, 40, True)],
                              ids=["trace", "full-sample-fallback"])
     def test_plain_matrix_matches_code_kernel_bit_for_bit(self, n, c, fallback, monkeypatch):
-        # a plain C has its kernel built for the call; the same path runs either way
+        # a plain C, as its CodeMatrix, its array, an equal copy or a nested list, has
+        # its kernel built for the call; the same path runs either way
         C = _code(n, seed=n)
         f = decompose(C, sample_indices(n, c, 0))
         exact = []
@@ -479,6 +496,6 @@ class TestTraceResiduals:
             return real(*args)
 
         monkeypatch.setattr(nystrom, "_residual_norms", spy)
-        for matrix in (C, C.values):
+        for matrix in (C, C.values, C.values.copy(), C.values.tolist()):
             assert approximation_errors(matrix, f) == approximation_errors(code_kernel(C), f)
-        assert len(exact) == (4 if fallback else 0)
+        assert len(exact) == (8 if fallback else 0)
