@@ -50,6 +50,6 @@ from .nystrom import (
     decompose,
 )
 from .pooling import pdl, pool
-from .spectra import SpectralReport, rank_k_residual, scaled_diag_max, spectral_report
+from .spectra import SpectralReport, rank_k_residual, spectral_report
 
 __version__ = "0.1.0"

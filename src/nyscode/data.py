@@ -218,13 +218,22 @@ def normalize_columns(X: DataMatrix, mode: str) -> DataMatrix:
 
     Zero columns (including columns that become zero after centering) pass
     through unchanged. A column whose sum of squares overflows, or falls below
-    the smallest normal float, is first divided by its largest magnitude.
+    the smallest normal float, is first divided by its largest magnitude. So
+    is a column whose mean or centered values overflow, in ``both`` mode,
+    before it is centered; ``mean_center`` rejects such a column.
     """
     if mode not in get_args(NormalizeMode):
         raise ValueError(f"mode must be one of {get_args(NormalizeMode)}, got {mode!r}")
     values = X.values.astype(float, copy=True)
     if mode in ("mean_center", "both"):
-        values -= values.mean(axis=0, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values -= values.mean(axis=0, keepdims=True)
+        # the input is finite, so an inf or a NaN here is an overflow
+        for j in np.flatnonzero(~np.isfinite(values).all(axis=0)):
+            if mode == "mean_center":
+                raise ValueError(f"column {j} overflows the float range when mean-centered")
+            column = X.values[:, j] / np.abs(X.values[:, j]).max()
+            values[:, j] = column - column.mean()
     if mode in ("unit_l2", "both"):
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(values, axis=0)

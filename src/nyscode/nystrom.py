@@ -43,7 +43,7 @@ the three terms of each are ||C||_F^2, 2 sum_i (F^T CF)_ii / lambda_i and
 <Nm, H>, and ||K||_F^2, 2 <Nm, CF^T CF> and tr(Nm H Nm H).
 
 Memory. ``decompose`` gathers only the c x c block W; the factors hold C by
-reference, and E = C[:, indices] is gathered only when it is read. Scoring
+reference, and E = C[:, indices] is never gathered. Scoring
 writes into one workspace that the ``CodeKernel`` owns, N (c + 2r) doubles
 that grow to the largest sample scored and are reused by every later one:
 a c x N block takes the sampled rows of C (equal to E^T, as C is symmetric;
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import _matrix
+from .coding import _is_symmetric, _matrix
 
 # eigenvalues of W at or below this fraction of the largest magnitude are dropped
 PINV_TOL = 1e-10
@@ -91,11 +91,6 @@ class NystromFactors:
     C: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-
-    @property
-    def E(self) -> np.ndarray:
-        """The sampled columns C[:, indices] (N x c), gathered on each access."""
-        return np.take(self.C, self.indices, axis=1)
 
 
 def decompose(C, indices) -> NystromFactors:
@@ -120,7 +115,7 @@ def decompose(C, indices) -> NystromFactors:
     if idx.min() < 0 or idx.max() >= values.shape[0]:
         raise ValueError(f"indices out of range 0..{values.shape[0] - 1}")
     W = values[np.ix_(idx, idx)]
-    if not np.array_equal(W, W.T):
+    if not _is_symmetric(W):
         raise ValueError("C must be symmetric: the sampled block W differs from its transpose")
     lam, U = np.linalg.eigh(W)
     mag = np.abs(lam)
@@ -161,10 +156,12 @@ class CodeKernel:
 
 
 def code_kernel(C) -> CodeKernel:
-    """Build the ``CodeKernel`` of a symmetric code matrix. numpy takes K = C C^T
-    by one syrk and copies one triangle into the other, so K equals its
-    transpose bit for bit with no symmetrizing pass."""
+    """Build the ``CodeKernel`` of a code matrix, which the trace forms need square and equal
+    to its transpose bit for bit. numpy takes K = C C^T by one syrk and copies one triangle
+    into the other, so K equals its transpose bit for bit with no symmetrizing pass."""
     values = _matrix(C)
+    if not _is_symmetric(values):
+        raise ValueError(f"C must be square and equal to its transpose, got shape {values.shape}")
     K = values @ values.T
     return CodeKernel(values, K, float(np.vdot(values, values)), float(np.vdot(K, K)))
 
@@ -172,12 +169,12 @@ def code_kernel(C) -> CodeKernel:
 def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:
     """Frobenius errors of the code and kernel reconstructions against C and K = C C^T.
 
-    ``C`` is the symmetric matrix ``f`` was sampled from (``decompose`` checks
-    only W), as that array or an equal copy, or its ``CodeKernel``; any other
-    matrix is rejected. A plain matrix has its kernel built for this call, so
-    a caller scoring several samples of one C passes ``code_kernel(C)``, whose
-    workspace every sample reuses; either way the trace forms of the module
-    docstring run, or below ``TRACE_FLOOR`` the residual norms taken directly.
+    ``C`` is the symmetric matrix ``f`` was sampled from, as that array or an equal copy, or
+    its ``CodeKernel``; any other matrix is rejected. A plain matrix has its kernel built for
+    this call by ``code_kernel``, which checks all of C where ``decompose`` checked only W,
+    so a caller scoring several samples of one C passes ``code_kernel(C)``, whose workspace
+    every sample reuses; either way the trace forms of the module docstring run, or below
+    ``TRACE_FLOOR`` the residual norms taken directly.
     """
     kernel = C if isinstance(C, CodeKernel) else None
     source = _matrix(C) if kernel is None else kernel.C

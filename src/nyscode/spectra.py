@@ -2,16 +2,16 @@
 
 The bound needs two numbers about the ideal code matrix: the optimal rank-k
 residual ||C - C_k||_F (tail of the singular value spectrum) and the scaled
-diagonal maximum N * max_i C_ii. The singular values of a symmetric matrix
-are the absolute values of its eigenvalues, so symmetric input (every full
-code matrix is bit-exactly symmetric) takes them from ``eigvalsh``, which
-is cheaper than an SVD; any other input goes through the SVD.
+diagonal maximum N * max_i C_ii. ``spectral_report`` takes only a square C
+equal to its transpose bit for bit, as every full code matrix is, whose
+singular values are the |eigenvalues| that ``eigvalsh`` gives for less than
+an SVD. ``rank_k_residual`` takes any matrix, by its SVD.
 
 Leading spectrum. The effective rank k and the residual depend only on the
 top k singular values and on ||C||_F^2 = sum sigma^2: k is the first index
 where the cumulative sum of sigma_i^2 reaches ``energy`` of that total, and
 ||C - C_k||_F^2 = ||C||_F^2 - sum_{i <= k} sigma_i^2. ``spectral_report``
-therefore takes only the leading eigenvalues of a symmetric C of order at
+therefore takes only the leading eigenvalues of a C of order at
 least ``LEADING_MIN_N``, by block Krylov with Rayleigh-Ritz (Halko,
 Martinsson & Tropp 2011; Musco & Musco 2015): blocks of ``KRYLOV_BLOCK``
 columns from a fixed random start, each product C V orthogonalised twice
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import _matrix
+from .coding import _is_symmetric, _matrix
 from .nystrom import TRACE_FLOOR
 
 # below this order one eigvalsh of C is faster than the Krylov iteration
@@ -56,19 +56,6 @@ class SpectralReport:
     singular_values: np.ndarray
 
 
-def _is_symmetric(values: np.ndarray) -> bool:
-    square = values.ndim == 2 and values.shape[0] == values.shape[1]
-    return square and np.array_equal(values, values.T)
-
-
-def singular_values(C) -> np.ndarray:
-    """Singular values of C, descending."""
-    values = _matrix(C)
-    if _is_symmetric(values):
-        return np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
-    return np.linalg.svd(values, compute_uv=False)
-
-
 def check_energy(energy: float) -> None:
     """Reject a retained-energy fraction outside (0, 1]."""
     if not (0.0 < energy <= 1.0):
@@ -85,27 +72,15 @@ def _energy_rank(s: np.ndarray, energy: float) -> int:
     return min(k, len(s2))
 
 
-def _tail_norm(s: np.ndarray, k: int) -> float:
-    """sqrt of the sum of squared singular values past the first k."""
-    if not (0 <= k <= len(s)):
-        raise ValueError(f"need 0 <= k <= min(dims) = {len(s)}, got k={k}")
-    return float(np.sqrt(np.sum(s[k:] ** 2)))
-
-
 def rank_k_residual(C, k: int) -> float:
-    """Frobenius norm of C minus its best rank-k approximation.
+    """Frobenius norm of any matrix C minus its best rank-k approximation.
 
     By Eckart-Young this equals sqrt(sum of squared singular values past k).
     """
-    return _tail_norm(singular_values(C), k)
-
-
-def scaled_diag_max(C) -> float:
-    """N times the largest diagonal entry of a square matrix."""
-    values = _matrix(C)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"C must be square, got shape {values.shape}")
-    return float(values.shape[0] * np.max(np.diag(values)))
+    s = np.linalg.svd(_matrix(C), compute_uv=False)
+    if not (0 <= k <= len(s)):
+        raise ValueError(f"need 0 <= k <= min(dims) = {len(s)}, got k={k}")
+    return float(np.sqrt(np.sum(s[k:] ** 2)))
 
 
 def _leading_spectrum(values: np.ndarray, energy: float):
@@ -148,22 +123,20 @@ def _leading_spectrum(values: np.ndarray, energy: float):
 
 
 def spectral_report(C, energy: float = 0.95) -> SpectralReport:
-    """Assemble the bound inputs for C, with k the effective rank at ``energy``."""
+    """Assemble the bound inputs for a square symmetric C, k the effective rank at ``energy``."""
     values = _matrix(C)
-    diag_term = scaled_diag_max(values)
+    if not _is_symmetric(values):
+        raise ValueError(f"C must be square and equal to its transpose, got shape {values.shape}")
+    diag_term = float(values.shape[0] * np.max(np.diag(values)))
     check_energy(energy)
-    if 1.0 - energy > TRACE_FLOOR and values.shape[0] >= LEADING_MIN_N and _is_symmetric(values):
-        leading = _leading_spectrum(values, energy)
-        if leading is not None:
-            k, residual, s = leading
-            return SpectralReport(
-                k=k, rank_k_residual=residual, scaled_diag_max=diag_term, singular_values=s
-            )
-    s = singular_values(values)
-    k = _energy_rank(s, energy)
+    spectrum = None
+    if 1.0 - energy > TRACE_FLOOR and values.shape[0] >= LEADING_MIN_N:
+        spectrum = _leading_spectrum(values, energy)
+    if spectrum is None:
+        s = np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
+        k = _energy_rank(s, energy)
+        spectrum = k, float(np.sqrt(np.sum(s[k:] ** 2))), s
+    k, residual, s = spectrum
     return SpectralReport(
-        k=k,
-        rank_k_residual=_tail_norm(s, k),
-        scaled_diag_max=diag_term,
-        singular_values=s,
+        k=k, rank_k_residual=residual, scaled_diag_max=diag_term, singular_values=s
     )

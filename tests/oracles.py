@@ -9,9 +9,14 @@ build each of them directly: the Nystrom ones from the factors that
 import numpy as np
 
 
+def sampled_columns(f):
+    """E = C[:, indices] (N x c): the sampled columns of the matrix the factors hold."""
+    return np.take(f.C, f.indices, axis=1)
+
+
 def sampled_block(f):
     """W = C[indices, indices]: the sampled columns E restricted to the sampled rows."""
-    return f.E[f.indices]
+    return sampled_columns(f)[f.indices]
 
 
 def w_pinv(f):
@@ -21,13 +26,13 @@ def w_pinv(f):
 
 def reconstruct_code(f):
     """C_hat = E W^+ E^T = F diag(1/lambda) F^T with F = E U (N x N)."""
-    F = f.E @ f.eigvecs
+    F = sampled_columns(f) @ f.eigvecs
     return (F * (1.0 / f.eigvals)) @ F.T
 
 
 def reconstruct_kernel(f):
     """K_hat = E M E^T = F Nm F^T with Nm = diag(1/lambda) F^T F diag(1/lambda) (N x N)."""
-    F = f.E @ f.eigvecs
+    F = sampled_columns(f) @ f.eigvecs
     inv = 1.0 / f.eigvals
     return F @ ((F.T @ F) * np.outer(inv, inv)) @ F.T
 

@@ -276,12 +276,67 @@ class TestGramKernel:
 
     def test_single_column_rank_one(self):
         v = np.array([[1.0], [2.0], [3.0]])
-        K = code_kernel(CodeMatrix(v)).K
-        assert np.array_equal(K, v @ v.T)
+        C = v @ v.T
+        K = code_kernel(CodeMatrix(C)).K
+        assert np.array_equal(K, 14.0 * C)  # (v v^T)(v v^T) = |v|^2 v v^T
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_symmetric_psd(self, seed):
-        vals = np.abs(np.random.default_rng(seed).standard_normal((5, 4)))
-        K = code_kernel(CodeMatrix(vals)).K
+        vals = np.abs(np.random.default_rng(seed).standard_normal((5, 5)))
+        K = code_kernel(CodeMatrix(vals + vals.T)).K
         assert np.array_equal(K, K.T)
         assert np.linalg.eigvalsh(K).min() >= -1e-10
+
+
+def _symmetric_of_order(n, seed=0):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return A + A.T
+
+
+class TestIsSymmetric:
+    """``coding._is_symmetric`` compares tile pairs; it must agree with
+    ``np.array_equal(v, v.T)`` on every square matrix and reject any other."""
+
+    @staticmethod
+    def _agrees(v, expected):
+        assert coding._is_symmetric(v) is expected
+        assert np.array_equal(v, v.T) is expected
+
+    @pytest.mark.parametrize("extra", [1, 88], ids=["one-past-a-tile", "ragged"])
+    def test_symmetric_order_not_a_multiple_of_the_tile(self, extra):
+        self._agrees(_symmetric_of_order(2 * coding._SYMMETRY_TILE + extra), True)
+
+    def test_one_flipped_entry_in_the_ragged_last_tile(self):
+        n = 2 * coding._SYMMETRY_TILE + 88
+        v = _symmetric_of_order(n)
+        v[n - 1, n - 40] = np.nextafter(v[n - 1, n - 40], np.inf)
+        self._agrees(v, False)
+        w = _symmetric_of_order(n)
+        w[3, n - 2] = np.nextafter(w[3, n - 2], np.inf)  # a tile whose mirror is ragged
+        self._agrees(w, False)
+
+    @pytest.mark.parametrize("where", [(2, 2), (1, 300)], ids=["diagonal", "mirrored-pair"])
+    def test_nan_is_unequal(self, where):
+        v = _symmetric_of_order(coding._SYMMETRY_TILE + 60)
+        v[where] = v[where[::-1]] = np.nan
+        self._agrees(v, False)
+
+    @pytest.mark.parametrize("v, expected", [
+        (np.array([[2.5]]), True),
+        (np.array([[np.nan]]), False),
+        (np.zeros((0, 0)), True),
+        (np.ones((3, 4)), False),
+        (np.ones((300, 260)), False),
+    ], ids=["1x1", "1x1-nan", "0x0", "3x4", "300x260"])
+    def test_small_and_non_square(self, v, expected):
+        self._agrees(v, expected)
+
+    def test_temporaries_are_tile_sized(self):
+        v = _symmetric_of_order(2048)
+        tracemalloc.start()
+        try:
+            assert coding._is_symmetric(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 2048 / 4  # a quarter of the one N x N boolean of array_equal

@@ -224,6 +224,28 @@ class TestNormalizeColumns:
             out = normalize_columns(X, mode).values
         assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() <= 1e-15
 
+    @pytest.mark.parametrize("column", [[1e308, 1.5e308], [-1.7e308, 1e308, 1.7e308]],
+                             ids=["mean-overflows", "centered-value-overflows"])
+    @pytest.mark.parametrize("mode", ["mean_center", "both"])
+    def test_centering_that_overflows(self, column, mode):
+        # beside an ordinary column 0, column 1 is divided by its largest magnitude
+        # before centering (both) or named (mean_center), with no warning
+        col = np.array(column)
+        X = DataMatrix(np.column_stack([np.arange(1.0, len(col) + 1), col]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if mode == "mean_center":
+                with pytest.raises(ValueError, match="column 1 overflows the float range when "
+                                   "mean-centered"):
+                    normalize_columns(X, mode)
+                return
+            out = normalize_columns(X, mode).values
+        centered = col / np.abs(col).max()
+        centered -= centered.mean()
+        assert np.abs(out[:, 1] - centered / np.linalg.norm(centered)).max() <= 1e-15
+        alone = normalize_columns(DataMatrix(X.values[:, :1]), mode).values
+        assert np.array_equal(out[:, :1], alone)
+
     def test_ordinary_columns_keep_their_bits(self):
         X = DataMatrix(np.random.default_rng(7).standard_normal((5, 40)) * 3.0)
         expected = X.values / np.linalg.norm(X.values, axis=0)

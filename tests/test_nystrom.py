@@ -14,8 +14,13 @@ from nyscode.nystrom import (
     code_kernel,
     decompose,
 )
-from nyscode.spectra import singular_values
-from oracles import reconstruct_code, reconstruct_kernel, sampled_block, w_pinv
+from oracles import (
+    reconstruct_code,
+    reconstruct_kernel,
+    sampled_block,
+    sampled_columns,
+    w_pinv,
+)
 
 
 def _random_psd(n, rank, seed, decay=None):
@@ -33,14 +38,14 @@ class TestDecompose:
     def test_all_ones_single_column(self):
         C = np.ones((3, 3))
         f = decompose(C, [0])
-        assert np.array_equal(f.E, np.ones((3, 1)))
+        assert np.array_equal(sampled_columns(f), np.ones((3, 1)))
         assert np.array_equal(sampled_block(f), [[1.0]])
         assert np.allclose(w_pinv(f), [[1.0]])
 
     def test_full_sampling_reproduces_matrix(self):
         C = _random_psd(5, 5, seed=0)
         f = decompose(C, np.arange(5))
-        assert np.array_equal(f.E, C)
+        assert np.array_equal(sampled_columns(f), C)
         assert np.array_equal(sampled_block(f), C)
 
     def test_w_is_exact_subblock(self):
@@ -58,7 +63,7 @@ class TestDecompose:
     def test_accepts_code_matrix(self):
         C = CodeMatrix(np.ones((3, 3)))
         f = decompose(C, [1])
-        assert f.E.shape == (3, 1)
+        assert sampled_columns(f).shape == (3, 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +108,7 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak < 768 * 64 * 8
         assert f.C is C
-        assert np.array_equal(f.E, C[:, idx])
+        assert np.array_equal(sampled_columns(f), C[:, idx])
 
     @pytest.mark.parametrize(
         "make, c, kept",
@@ -244,6 +249,21 @@ class TestApproximationErrors:
             with pytest.raises(ValueError, match="N=64 matrix, but C is another matrix"):
                 approximation_errors(C, f)
         assert kernel.workspace(0).base.size == 0
+
+    def test_non_symmetric_matrix_with_a_symmetric_sampled_block_rejected(self):
+        # C = S + B/2 with B antisymmetric and zero on the sampled block: decompose sees
+        # a symmetric W, but the trace forms and the row gather would score another C
+        rng = np.random.default_rng(0)
+        n, idx = 40, np.arange(0, 40, 5)
+        S, B = rng.standard_normal((2, n, n))
+        B -= B.T
+        B[np.ix_(idx, idx)] = 0.0
+        C = (S + S.T) + 0.5 * B
+        f = decompose(C, idx)
+        with pytest.raises(ValueError, match="C must be square and equal to its transpose"):
+            code_kernel(C)
+        with pytest.raises(ValueError, match="C must be square and equal to its transpose"):
+            approximation_errors(C, f)
 
 
 def _spanning_columns(C, rank, seed):
@@ -468,7 +488,7 @@ class TestTraceResiduals:
 
     def test_workload_shaped_cells_stay_above_floor(self, monkeypatch):
         C = _code(128, seed=7)
-        s = singular_values(C)
+        s = np.abs(np.linalg.eigvalsh(C.values))  # the singular values of a symmetric C
         for c in (16, 32, 64):
             exact = _exact(C, decompose(C, sample_indices(128, c, 0)), monkeypatch)
             assert exact.code_err**2 > 100 * TRACE_FLOOR * np.sum(s**2)
@@ -476,7 +496,7 @@ class TestTraceResiduals:
     def test_scales_are_spectral_sums(self):
         # ||C||_F^2 = sum sigma^2 and ||K||_F^2 = sum sigma^4 over the singular values of C
         C = _code(96, seed=4)
-        s = singular_values(C)
+        s = np.abs(np.linalg.eigvalsh(C.values))  # the singular values of a symmetric C
         kernel = code_kernel(C)
         assert kernel.code_scale == pytest.approx(np.sum(s**2), rel=1e-12)
         assert kernel.kernel_scale == pytest.approx(np.sum(s**4), rel=1e-12)

@@ -5,14 +5,21 @@ from nyscode import spectra
 from nyscode.coding import full_code
 from nyscode.data import DataMatrix, normalize_columns, synth_manifold
 from nyscode.harness import CurveConfig, _curve_dataset, _split
-from nyscode.spectra import (
-    _energy_rank,
-    _tail_norm,
-    rank_k_residual,
-    scaled_diag_max,
-    singular_values,
-    spectral_report,
-)
+from nyscode.spectra import _energy_rank, rank_k_residual, spectral_report
+
+
+def singular_values(C):
+    """The singular values of a symmetric C, descending: its |eigenvalues|."""
+    return np.sort(np.abs(np.linalg.eigvalsh(C)))[::-1]
+
+
+def tail_norm(s, k):
+    """sqrt of the sum of squared singular values past the first k."""
+    return float(np.sqrt(np.sum(s[k:] ** 2)))
+
+
+def symmetrized(A):
+    return A + A.T
 
 
 class TestRankKResidual:
@@ -52,6 +59,10 @@ class TestRankKResidual:
                 assert best <= np.linalg.norm(C - R) + 1e-12
 
 
+def scaled_diag_max(C):
+    return spectral_report(C).scaled_diag_max
+
+
 class TestScaledDiagMax:
     def test_identity(self):
         assert scaled_diag_max(np.eye(4)) == 4.0
@@ -69,18 +80,18 @@ class TestScaledDiagMax:
         assert scaled_diag_max(C) == pytest.approx(9.0, rel=1e-12)
 
     def test_invariant_under_symmetric_permutation(self):
-        C = np.random.default_rng(4).standard_normal((5, 5))
+        C = symmetrized(np.random.default_rng(4).standard_normal((5, 5)))
         perm = np.random.default_rng(5).permutation(5)
         assert scaled_diag_max(C[np.ix_(perm, perm)]) == scaled_diag_max(C)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"square .* got shape \(2, 3\)"):
             scaled_diag_max(np.ones((2, 3)))
 
 
 def effective_rank(C, energy=0.95):
     """Smallest k whose top-k squared singular values of C retain ``energy`` of the total."""
-    return _energy_rank(singular_values(C), energy)
+    return _energy_rank(singular_values(np.asarray(C, dtype=float)), energy)
 
 
 class TestEffectiveRank:
@@ -105,11 +116,11 @@ class TestEffectiveRank:
 
 class TestSpectralReport:
     def test_matches_component_functions(self):
-        C = np.random.default_rng(6).standard_normal((7, 7))
+        C = symmetrized(np.random.default_rng(6).standard_normal((7, 7)))
         rep = spectral_report(C, energy=0.7)
         assert rep.k == 3
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 3), rel=1e-12)
-        assert rep.scaled_diag_max == scaled_diag_max(C)
+        assert rep.scaled_diag_max == 7 * np.max(np.diag(C))
         assert np.all(np.diff(rep.singular_values) <= 0)
         assert rep.singular_values.min() >= 0
 
@@ -119,7 +130,7 @@ class TestSpectralReport:
         assert rep.k == effective_rank(C, 0.95) == 1
 
     def test_residual_invariant_definition(self):
-        C = np.random.default_rng(7).standard_normal((5, 5))
+        C = symmetrized(np.random.default_rng(7).standard_normal((5, 5)))
         rep = spectral_report(C, energy=0.6)
         assert rep.k == 2
         tail = np.sqrt(np.sum(rep.singular_values[2:] ** 2))
@@ -148,16 +159,17 @@ class TestSingularValues:
         assert np.linalg.eigvalsh(C).min() < 0
         want = np.linalg.svd(C, compute_uv=False)
         calls = self._spy(monkeypatch)
-        s = singular_values(C)
+        s = spectral_report(C, energy=0.95).singular_values
         assert calls == ["eigvalsh"]
         assert np.all(np.diff(s) <= 0)
         assert np.max(np.abs(s - want)) <= 1e-12 * want[0]
 
-    def test_non_symmetric_square_uses_svd(self, monkeypatch):
+    def test_non_symmetric_square_rejected(self, monkeypatch):
         C = np.random.default_rng(9).standard_normal((6, 6))
         calls = self._spy(monkeypatch)
-        singular_values(C)
-        assert calls == ["svd"]
+        with pytest.raises(ValueError, match="C must be square and equal to its transpose"):
+            spectral_report(C)
+        assert calls == []
 
 
 def _acceptance_code(which):
@@ -225,7 +237,7 @@ class TestLeadingSpectrum:
         rep = spectral_report(C, energy=energy)
         k = _energy_rank(s, energy)
         assert rep.k == k
-        assert rep.rank_k_residual == pytest.approx(_tail_norm(s, k), rel=1e-10)
+        assert rep.rank_k_residual == pytest.approx(tail_norm(s, k), rel=1e-10)
         assert len(rep.singular_values) == (k if leading else C.shape[0])
         assert np.all(np.diff(rep.singular_values) <= 0)
         assert np.max(np.abs(rep.singular_values[:k] - s[:k])) <= 1e-10 * s[0]
@@ -251,7 +263,7 @@ class TestLeadingSpectrum:
         assert entered == []
         assert calls == [C.shape]
         assert rep.k == _energy_rank(s, 1.0)
-        assert rep.rank_k_residual == _tail_norm(s, rep.k)
+        assert rep.rank_k_residual == tail_norm(s, rep.k)
         assert len(rep.singular_values) == C.shape[0]
 
     def test_rank_deficient_takes_exact_path(self, monkeypatch):
@@ -297,10 +309,13 @@ class TestLeadingSpectrum:
         assert calls == [(256, 256)]
         assert len(rep.singular_values) == 256
 
-    def test_non_symmetric_uses_svd(self, monkeypatch):
+    def test_non_symmetric_rejected(self, monkeypatch):
+        # one entry off by one unit in the last place is enough; neither spectrum runs
         C = _symmetric(np.linspace(1.0, 2.0, 1024), seed=2)
-        C[0, 1] += 1e-3
+        C[0, 1] = np.nextafter(C[0, 1], np.inf)
         calls = TestSingularValues._spy(monkeypatch)
-        rep = spectral_report(C, energy=0.95)
-        assert calls == ["svd"]
-        assert len(rep.singular_values) == 1024
+        monkeypatch.setattr(spectra, "_leading_spectrum", lambda *a: calls.append("leading"))
+        with pytest.raises(ValueError, match=r"C must be square and equal to its transpose, "
+                           r"got shape \(1024, 1024\)"):
+            spectral_report(C, energy=0.95)
+        assert calls == []
