@@ -337,13 +337,13 @@ def _spectral_summary(rep: SpectralReport) -> dict:
 
 def _nystrom_diagnostics(X: DataMatrix, alpha: float, energy: float, draws: dict) -> tuple:
     """(spectral report, {(c, seed): Nystrom errors}) of the full code matrix C of X and
-    of each column sample (c, seed) -> indices in ``draws``. One ``CodeKernel`` of C,
-    built after the spectrum so that it reuses the spectrum's freed buffers, scores
-    every sample, largest c first, so its workspace is allocated once; C and K are
-    freed on return."""
+    of each column sample (c, seed) -> indices in ``draws``. Where there are samples, one
+    ``CodeKernel`` of C is built first: the spectrum reads its K and ||C||_F^2, and it
+    scores every sample, largest c first, so its workspace is allocated once; C and K
+    are freed on return."""
     C = full_code(X, alpha)
-    rep = spectral_report(C, energy=energy)
     kernel = code_kernel(C) if draws else None
+    rep = spectral_report(kernel or C, energy=energy)
     largest_first = sorted(draws, key=lambda key: -len(draws[key]))
     return rep, {key: approximation_errors(kernel, decompose(C, draws[key]))
                  for key in largest_first}

@@ -155,15 +155,35 @@ class CodeKernel:
         return self._work[:size]
 
 
-def code_kernel(C) -> CodeKernel:
-    """Build the ``CodeKernel`` of a code matrix, which the trace forms need square and equal
-    to its transpose bit for bit. numpy takes K = C C^T by one syrk and copies one triangle
-    into the other, so K equals its transpose bit for bit with no symmetrizing pass."""
+def _checked_code(C) -> tuple[np.ndarray, float]:
+    """The array of a code matrix and ||C||_F^2, once C is known to be square, non-empty,
+    equal to its transpose bit for bit and of finite Frobenius norm. A NaN is looked for
+    only once the symmetry check has failed (a NaN is unequal to itself); ||C||_F^2 is NaN
+    only where C holds one, so it is found with no N x N temporary."""
     values = _matrix(C)
     if not _is_symmetric(values):
+        if np.isnan(np.vdot(values, values)):
+            raise ValueError("C contains NaN")
         raise ValueError(f"C must be square and equal to its transpose, got shape {values.shape}")
+    if values.size == 0:
+        raise ValueError("C must be non-empty")
+    scale = float(np.vdot(values, values))
+    if not np.isfinite(scale):
+        raise ValueError("||C||_F^2 is not finite: C has an Inf entry or overflows when squared")
+    return values, scale
+
+
+def code_kernel(C) -> CodeKernel:
+    """Build the ``CodeKernel`` of a code matrix, which the trace forms need square, non-empty,
+    equal to its transpose bit for bit and with finite scales. numpy takes K = C C^T by one
+    syrk and copies one triangle into the other, so K equals its transpose bit for bit with
+    no symmetrizing pass."""
+    values, code_scale = _checked_code(C)
     K = values @ values.T
-    return CodeKernel(values, K, float(np.vdot(values, values)), float(np.vdot(K, K)))
+    kernel_scale = float(np.vdot(K, K))
+    if not np.isfinite(kernel_scale):
+        raise ValueError("||K||_F^2 is not finite: K = C C^T overflows when squared")
+    return CodeKernel(values, K, code_scale, kernel_scale)
 
 
 def approximation_errors(C, f: NystromFactors) -> ApproximationErrors:

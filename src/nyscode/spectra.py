@@ -2,23 +2,28 @@
 
 The bound needs two numbers about the ideal code matrix: the optimal rank-k
 residual ||C - C_k||_F (tail of the singular value spectrum) and the scaled
-diagonal maximum N * max_i C_ii. ``spectral_report`` takes only a square C
-equal to its transpose bit for bit, as every full code matrix is, whose
-singular values are the |eigenvalues| that ``eigvalsh`` gives for less than
-an SVD. ``rank_k_residual`` takes any matrix, by its SVD.
+diagonal maximum N * max_i C_ii. ``spectral_report`` takes only a square,
+non-empty C equal to its transpose bit for bit and of finite Frobenius norm,
+as every full code matrix is, whose singular values are the |eigenvalues|
+that ``eigvalsh`` gives for less than an SVD, or the ``CodeKernel`` that
+``code_kernel`` built and checked from one. ``rank_k_residual`` takes any
+matrix, by its SVD.
 
 Leading spectrum. The effective rank k and the residual depend only on the
 top k singular values and on ||C||_F^2 = sum sigma^2: k is the first index
 where the cumulative sum of sigma_i^2 reaches ``energy`` of that total, and
-||C - C_k||_F^2 = ||C||_F^2 - sum_{i <= k} sigma_i^2. ``spectral_report``
-therefore takes only the leading eigenvalues of a C of order at
-least ``LEADING_MIN_N``, by block Krylov with Rayleigh-Ritz (Halko,
-Martinsson & Tropp 2011; Musco & Musco 2015): blocks of ``KRYLOV_BLOCK``
-columns from a fixed random start, each product C V orthogonalised twice
-against the basis, Ritz values from the ``eigh`` of the projected matrix
-V^T C V, ordered by |theta| since C is indefinite. It stops once each of the
-top k Ritz pairs has a residual ||C x - theta x|| of at most ``RITZ_TOL``
-times the largest |theta|. The one ``eigvalsh`` of C stays the exact path,
+||C - C_k||_F^2 = ||C||_F^2 - sum_{i <= k} sigma_i^2. For symmetric C the
+sigma_i^2 are the eigenvalues of the kernel K = C C^T, whose spectrum decays
+twice as fast as that of C. ``spectral_report`` therefore takes only the
+leading eigenvalues of K for a C of order at least ``LEADING_MIN_N``, by
+block Krylov with Rayleigh-Ritz (Halko, Martinsson & Tropp 2011; Musco &
+Musco 2015): blocks of ``KRYLOV_BLOCK`` columns from a fixed random start,
+each product K V orthogonalised twice against the basis, Ritz values theta
+from the ``eigh`` of the projected matrix V^T K V, which are sigma^2 directly.
+It stops once each of the top k Ritz pairs has a residual ||K x - theta x||
+of at most ``RITZ_TOL`` times the largest theta. K and ||C||_F^2 come from
+the ``CodeKernel`` given, or from ``code_kernel`` of a plain C, which is built
+only when the iteration runs. The one ``eigvalsh`` of C stays the exact path,
 taken when N is below the cutoff, when the basis would grow past N / 8
 columns, and when the squared tail is below ``TRACE_FLOOR`` of ||C||_F^2,
 where the subtraction would lose its digits. That tail is at most (1 - energy)
@@ -31,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import _is_symmetric, _matrix
-from .nystrom import TRACE_FLOOR
+from . import nystrom
+from .coding import _matrix
+from .nystrom import TRACE_FLOOR, CodeKernel, _checked_code
 
 # below this order one eigvalsh of C is faster than the Krylov iteration
 LEADING_MIN_N = 1024
-# columns added to the Krylov basis per product with C
+# columns added to the Krylov basis per product with K
 KRYLOV_BLOCK = 8
-# largest Ritz residual accepted, as a fraction of the largest |theta|
+# largest Ritz residual accepted, as a fraction of the largest theta
 RITZ_TOL = 1e-10
 
 
@@ -83,55 +89,61 @@ def rank_k_residual(C, k: int) -> float:
     return float(np.sqrt(np.sum(s[k:] ** 2)))
 
 
-def _leading_spectrum(values: np.ndarray, energy: float):
-    """(k, rank-k residual, top k singular values) of a symmetric matrix by block
-    Krylov, or None where the exact path must run (see the module docstring)."""
-    n, b = values.shape[0], KRYLOV_BLOCK
-    total = float(np.vdot(values, values))
+def _leading_spectrum(K: np.ndarray, energy: float, total: float):
+    """(k, rank-k residual, top k singular values) of a symmetric C from its kernel
+    K = C C^T and ||C||_F^2 = ``total`` by block Krylov on K, or None where the exact
+    path must run (see the module docstring)."""
+    n, b = K.shape[0], KRYLOV_BLOCK
     cap = n // 8
     V = np.empty((n, cap))
-    CV = np.empty((n, cap))
-    T = np.empty((cap, cap))  # V^T C V, filled one block column at a time
+    KV = np.empty((n, cap))
+    T = np.empty((cap, cap))  # V^T K V, filled one block column at a time
     block = np.linalg.qr(np.random.default_rng(0).standard_normal((n, b)))[0]
     m = 0
     while m + b <= cap:
         V[:, m : m + b] = block
-        CV[:, m : m + b] = values @ block
-        T[: m + b, m : m + b] = V[:, : m + b].T @ CV[:, m : m + b]
+        KV[:, m : m + b] = K @ block
+        T[: m + b, m : m + b] = V[:, : m + b].T @ KV[:, m : m + b]
         T[m : m + b, :m] = T[:m, m : m + b].T
         m += b
         theta, Y = np.linalg.eigh(T[:m, :m])  # reads the lower triangle
-        order = np.argsort(-np.abs(theta), kind="stable")
-        theta, Y = theta[order], Y[:, order]
-        energies = np.cumsum(theta**2)
+        theta, Y = theta[::-1], Y[:, ::-1]  # K is positive semidefinite: largest sigma^2 first
+        energies = np.cumsum(theta)
         k = int(np.searchsorted(energies, energy * total, side="left")) + 1
         if k <= m:
             Yk = Y[:, :k]
-            R = CV[:, :m] @ Yk - V[:, :m] @ (Yk * theta[:k])
-            if np.max(np.linalg.norm(R, axis=0)) <= RITZ_TOL * abs(theta[0]):
+            R = KV[:, :m] @ Yk - V[:, :m] @ (Yk * theta[:k])
+            if np.max(np.linalg.norm(R, axis=0)) <= RITZ_TOL * theta[0]:
                 tail_sq = total - energies[k - 1]
                 if tail_sq <= TRACE_FLOOR * total:  # a zero C lands here too
                     return None
-                return k, float(np.sqrt(tail_sq)), np.abs(theta[:k])
+                # theta[k - 1] = energies[k - 1] - energies[k - 2] > 0: no negative root
+                return k, float(np.sqrt(tail_sq)), np.sqrt(theta[:k])
         # twice: once the Krylov space is (nearly) exhausted, the first pass leaves
         # rounding noise or a rank-deficient block, whose QR basis is not yet
         # orthogonal to V
-        block = CV[:, m - b : m]
+        block = KV[:, m - b : m]
         for _ in range(2):
             block = np.linalg.qr(block - V[:, :m] @ (V[:, :m].T @ block))[0]
     return None
 
 
 def spectral_report(C, energy: float = 0.95) -> SpectralReport:
-    """Assemble the bound inputs for a square symmetric C, k the effective rank at ``energy``."""
-    values = _matrix(C)
-    if not _is_symmetric(values):
-        raise ValueError(f"C must be square and equal to its transpose, got shape {values.shape}")
-    diag_term = float(values.shape[0] * np.max(np.diag(values)))
+    """Assemble the bound inputs for a square symmetric C, k the effective rank at ``energy``.
+
+    ``C`` is a plain matrix, a ``CodeMatrix`` or the ``CodeKernel`` that ``code_kernel``
+    built (and checked) from one; a plain matrix gets its kernel only where the leading
+    spectrum is taken."""
     check_energy(energy)
-    spectrum = None
-    if 1.0 - energy > TRACE_FLOOR and values.shape[0] >= LEADING_MIN_N:
-        spectrum = _leading_spectrum(values, energy)
+    kernel = C if isinstance(C, CodeKernel) else None
+    values = _matrix(C) if kernel is None else kernel.C
+    leading = 1.0 - energy > TRACE_FLOOR and values.ndim == 2 and values.shape[0] >= LEADING_MIN_N
+    if kernel is None and leading:
+        kernel = nystrom.code_kernel(values)
+    elif kernel is None:
+        _checked_code(values)
+    diag_term = float(values.shape[0] * np.max(np.diag(values)))
+    spectrum = _leading_spectrum(kernel.K, energy, kernel.code_scale) if leading else None
     if spectrum is None:
         s = np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
         k = _energy_rank(s, energy)

@@ -7,9 +7,11 @@ from nyscode import nystrom
 from nyscode.coding import CodeMatrix, full_code
 from nyscode.data import DataMatrix, normalize_columns
 from nyscode.dictionary import sample_indices
+from nyscode.spectra import spectral_report
 from nyscode.nystrom import (
     PINV_TOL,
     TRACE_FLOOR,
+    NystromFactors,
     approximation_errors,
     code_kernel,
     decompose,
@@ -264,6 +266,43 @@ class TestApproximationErrors:
             code_kernel(C)
         with pytest.raises(ValueError, match="C must be square and equal to its transpose"):
             approximation_errors(C, f)
+
+
+_DEGENERATE = [
+    pytest.param([[np.inf]], r"\|\|C\|\|_F\^2 is not finite", id="inf"),
+    pytest.param(np.full((2, 2), 1e200), r"\|\|C\|\|_F\^2 is not finite", id="overflow"),
+    pytest.param([[np.nan]], "C contains NaN", id="nan"),
+    pytest.param([[1.0, np.nan], [np.nan, 1.0]], "C contains NaN", id="nan-pair"),
+    pytest.param(np.zeros((0, 0)), "C must be non-empty", id="empty"),
+]
+
+
+class TestDegenerateCodeMatrix:
+    """A code matrix that is empty, holds a NaN or has no finite ||C||_F^2 is rejected
+    with a message that names the cause, by each entry point that checks all of C."""
+
+    @pytest.mark.parametrize("C, message", _DEGENERATE)
+    def test_code_kernel(self, C, message):
+        with pytest.raises(ValueError, match=message):
+            code_kernel(C)
+
+    @pytest.mark.parametrize("C, message", _DEGENERATE)
+    def test_approximation_errors(self, C, message):
+        # factors that hold C itself, so the kernel built for the call checks it
+        C = np.asarray(C, dtype=float)
+        f = NystromFactors(indices=np.array([0]), C=C, eigvals=np.ones(1), eigvecs=np.ones((1, 1)))
+        with pytest.raises(ValueError, match=message):
+            approximation_errors(C, f)
+
+    @pytest.mark.parametrize("C, message", _DEGENERATE)
+    def test_spectral_report(self, C, message):
+        with pytest.raises(ValueError, match=message):
+            spectral_report(C)
+
+    def test_kernel_scale_overflow(self):
+        # ||C||_F^2 = 4e200 is finite, but K's entries are 2e200 and their squares are not
+        with pytest.raises(ValueError, match=r"\|\|K\|\|_F\^2 is not finite"):
+            code_kernel(np.full((2, 2), 1e100))
 
 
 def _spanning_columns(C, rank, seed):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nyscode import spectra
+from nyscode import nystrom, spectra
 from nyscode.coding import full_code
 from nyscode.data import DataMatrix, normalize_columns, synth_manifold
 from nyscode.harness import CurveConfig, _curve_dataset, _split
+from nyscode.nystrom import code_kernel
 from nyscode.spectra import _energy_rank, rank_k_residual, spectral_report
 
 
@@ -229,9 +230,9 @@ def _eigvalsh_calls(monkeypatch):
 
 
 class TestLeadingSpectrum:
-    # energy -> whether the leading path runs; at 0.99 (k = 70) the basis would
-    # pass N / 8 = 250 columns, so it falls back to the exact path
-    @pytest.mark.parametrize("energy, leading", [(0.5, True), (0.95, True), (0.99, False)])
+    # energy -> whether the leading path runs; at 0.99 (k = 70) too, as the Krylov
+    # iteration on K = C C^T, whose eigenvalues are sigma^2, converges within N / 8 columns
+    @pytest.mark.parametrize("energy, leading", [(0.5, True), (0.95, True), (0.99, True)])
     def test_matches_full_spectrum_on_curve_diag(self, curve_diag, energy, leading):
         C, s = curve_diag
         rep = spectral_report(C, energy=energy)
@@ -319,3 +320,46 @@ class TestLeadingSpectrum:
                            r"got shape \(1024, 1024\)"):
             spectral_report(C, energy=0.95)
         assert calls == []
+
+
+class TestKernelInput:
+    """``spectral_report`` of a ``CodeKernel`` reads the kernel's K and ||C||_F^2."""
+
+    @pytest.mark.parametrize("energy", [0.5, 0.95, 0.99])
+    def test_matches_plain_matrix_bit_for_bit(self, curve_diag, energy):
+        C, _ = curve_diag
+        a, b = spectral_report(code_kernel(C), energy=energy), spectral_report(C, energy=energy)
+        assert (a.k, a.rank_k_residual, a.scaled_diag_max) == (
+            b.k, b.rank_k_residual, b.scaled_diag_max)
+        assert a.singular_values.tobytes() == b.singular_values.tobytes()
+
+    def test_kernel_is_not_checked_again(self, curve_diag, monkeypatch):
+        # code_kernel checked its C; the report neither compares C with its transpose
+        # nor builds another kernel
+        kernel = code_kernel(curve_diag[0])
+
+        def fail(*args):
+            raise AssertionError("a CodeKernel was checked or rebuilt")
+
+        monkeypatch.setattr(nystrom, "_is_symmetric", fail)
+        monkeypatch.setattr(nystrom, "code_kernel", fail)
+        assert spectral_report(kernel, energy=0.95).k == 14
+
+    @pytest.mark.parametrize("which, energy, built", [
+        ("nys3-k4", 0.95, 0),  # N = 256, below LEADING_MIN_N: eigvalsh of C
+        ("curve-diag", 1.0, 0),  # the Krylov iteration never starts
+        ("curve-diag", 0.95, 1),  # the leading spectrum reads one K
+    ])
+    def test_plain_matrix_builds_a_kernel_only_for_the_leading_path(
+            self, curve_diag, monkeypatch, which, energy, built):
+        C = curve_diag[0] if which == "curve-diag" else _acceptance_code(which)
+        kernels = []
+        real = nystrom.code_kernel
+
+        def spy(C):
+            kernels.append(C)
+            return real(C)
+
+        monkeypatch.setattr(nystrom, "code_kernel", spy)
+        spectral_report(C, energy=energy)
+        assert len(kernels) == built
