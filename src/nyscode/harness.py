@@ -316,11 +316,13 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
 
 
 def check_alpha(X: DataMatrix, alpha: float) -> None:
-    """Reject an alpha that zeroes the whole code matrix max(0, X^T X - alpha), or NaN.
+    """Reject a non-finite alpha, or one that zeroes the whole code matrix max(0, X^T X - alpha).
 
     By Cauchy-Schwarz the largest entry of X^T X is the largest squared
     column norm, so the test needs no N x N matrix.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     top = float(np.max(np.sum(X.values**2, axis=0)))
     if not alpha < top:
         raise ValueError(
@@ -337,15 +339,14 @@ def _spectral_summary(rep: SpectralReport) -> dict:
 
 def _nystrom_diagnostics(X: DataMatrix, alpha: float, energy: float, draws: dict) -> tuple:
     """(spectral report, {(c, seed): Nystrom errors}) of the full code matrix C of X and
-    of each column sample (c, seed) -> indices in ``draws``. Where there are samples, one
-    ``CodeKernel`` of C is built first: the spectrum reads its K and ||C||_F^2, and it
-    scores every sample, largest c first, so its workspace is allocated once; C and K
-    are freed on return."""
-    C = full_code(X, alpha)
-    kernel = code_kernel(C) if draws else None
-    rep = spectral_report(kernel or C, energy=energy)
+    of each column sample (c, seed) -> indices in ``draws``. One ``CodeKernel`` of C
+    serves the spectrum and every sample, scored largest c first so that its workspace
+    is allocated once; it builds K where the leading spectrum or a score first reads it,
+    and C and K are freed on return."""
+    kernel = code_kernel(full_code(X, alpha))
+    rep = spectral_report(kernel, energy=energy)
     largest_first = sorted(draws, key=lambda key: -len(draws[key]))
-    return rep, {key: approximation_errors(kernel, decompose(C, draws[key]))
+    return rep, {key: approximation_errors(decompose(kernel, draws[key]))
                  for key in largest_first}
 
 

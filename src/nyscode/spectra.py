@@ -2,12 +2,11 @@
 
 The bound needs two numbers about the ideal code matrix: the optimal rank-k
 residual ||C - C_k||_F (tail of the singular value spectrum) and the scaled
-diagonal maximum N * max_i C_ii. ``spectral_report`` takes only a square,
-non-empty C equal to its transpose bit for bit and of finite Frobenius norm,
-as every full code matrix is, whose singular values are the |eigenvalues|
-that ``eigvalsh`` gives for less than an SVD, or the ``CodeKernel`` that
-``code_kernel`` built and checked from one. ``rank_k_residual`` takes any
-matrix, by its SVD.
+diagonal maximum N * max_i C_ii. ``spectral_report`` takes the ``CodeKernel``
+that ``code_kernel`` made of C, so C is square, non-empty, equal to its
+transpose bit for bit and of finite Frobenius norm, as every full code matrix
+is, and its singular values are the |eigenvalues| that ``eigvalsh`` gives for
+less than an SVD. ``rank_k_residual`` takes any matrix, by its SVD.
 
 Leading spectrum. The effective rank k and the residual depend only on the
 top k singular values and on ||C||_F^2 = sum sigma^2: k is the first index
@@ -21,13 +20,13 @@ Musco 2015): blocks of ``KRYLOV_BLOCK`` columns from a fixed random start,
 each product K V orthogonalised twice against the basis, Ritz values theta
 from the ``eigh`` of the projected matrix V^T K V, which are sigma^2 directly.
 It stops once each of the top k Ritz pairs has a residual ||K x - theta x||
-of at most ``RITZ_TOL`` times the largest theta. K and ||C||_F^2 come from
-the ``CodeKernel`` given, or from ``code_kernel`` of a plain C, which is built
-only when the iteration runs. The one ``eigvalsh`` of C stays the exact path,
-taken when N is below the cutoff, when the basis would grow past N / 8
-columns, and when the squared tail is below ``TRACE_FLOOR`` of ||C||_F^2,
-where the subtraction would lose its digits. That tail is at most (1 - energy)
-||C||_F^2, so an energy within the floor of 1 (as 1.0) never starts the iteration.
+of at most ``RITZ_TOL`` times the largest theta. Only the iteration reads the
+kernel's K, so the kernel builds K only where it runs. The one ``eigvalsh``
+of C stays the exact path, taken when N is below the cutoff, when the basis
+would grow past N / 8 columns, and when the squared tail is below
+``TRACE_FLOOR`` of ||C||_F^2, where the subtraction would lose its digits.
+That tail is at most (1 - energy) ||C||_F^2, so an energy within the floor of
+1 (as 1.0) never starts the iteration.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nystrom
 from .coding import _matrix
-from .nystrom import TRACE_FLOOR, CodeKernel, _checked_code
+from .nystrom import TRACE_FLOOR, CodeKernel
 
 # below this order one eigvalsh of C is faster than the Krylov iteration
 LEADING_MIN_N = 1024
@@ -128,27 +126,20 @@ def _leading_spectrum(K: np.ndarray, energy: float, total: float):
     return None
 
 
-def spectral_report(C, energy: float = 0.95) -> SpectralReport:
-    """Assemble the bound inputs for a square symmetric C, k the effective rank at ``energy``.
-
-    ``C`` is a plain matrix, a ``CodeMatrix`` or the ``CodeKernel`` that ``code_kernel``
-    built (and checked) from one; a plain matrix gets its kernel only where the leading
-    spectrum is taken."""
+def spectral_report(kernel: CodeKernel, energy: float = 0.95) -> SpectralReport:
+    """Assemble the bound inputs for the code matrix C of ``kernel``, k the effective rank
+    at ``energy``."""
     check_energy(energy)
-    kernel = C if isinstance(C, CodeKernel) else None
-    values = _matrix(C) if kernel is None else kernel.C
-    leading = 1.0 - energy > TRACE_FLOOR and values.ndim == 2 and values.shape[0] >= LEADING_MIN_N
-    if kernel is None and leading:
-        kernel = nystrom.code_kernel(values)
-    elif kernel is None:
-        _checked_code(values)
-    diag_term = float(values.shape[0] * np.max(np.diag(values)))
+    C = kernel.C
+    n = C.shape[0]
+    leading = 1.0 - energy > TRACE_FLOOR and n >= LEADING_MIN_N
     spectrum = _leading_spectrum(kernel.K, energy, kernel.code_scale) if leading else None
     if spectrum is None:
-        s = np.sort(np.abs(np.linalg.eigvalsh(values)))[::-1]
+        s = np.sort(np.abs(np.linalg.eigvalsh(C)))[::-1]
         k = _energy_rank(s, energy)
         spectrum = k, float(np.sqrt(np.sum(s[k:] ** 2))), s
     k, residual, s = spectrum
     return SpectralReport(
-        k=k, rank_k_residual=residual, scaled_diag_max=diag_term, singular_values=s
+        k=k, rank_k_residual=residual, scaled_diag_max=float(n * np.max(np.diag(C))),
+        singular_values=s,
     )

@@ -1,8 +1,32 @@
+import functools
 import time
+import weakref
+
+import pytest
+
+from nyscode.nystrom import CodeKernel
 
 SUITE_BUDGET_SECONDS = 600.0
 
 _session_start = time.monotonic()
+
+
+@pytest.fixture
+def k_builds(monkeypatch):
+    """A weak reference to the K of every ``CodeKernel`` that builds one during the test,
+    in build order: the kernel builds K the first time it is read."""
+    built = []
+    real = CodeKernel.K.func
+
+    def build(kernel):
+        K = real(kernel)
+        built.append(weakref.ref(K))
+        return K
+
+    spy = functools.cached_property(build)
+    spy.__set_name__(CodeKernel, "K")
+    monkeypatch.setattr(CodeKernel, "K", spy)
+    return built
 
 
 def pytest_sessionfinish(session, exitstatus):

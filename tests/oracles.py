@@ -10,8 +10,8 @@ import numpy as np
 
 
 def sampled_columns(f):
-    """E = C[:, indices] (N x c): the sampled columns of the matrix the factors hold."""
-    return np.take(f.C, f.indices, axis=1)
+    """E = C[:, indices] (N x c): the sampled columns of the code matrix in the factors' kernel."""
+    return np.take(f.kernel.C, f.indices, axis=1)
 
 
 def sampled_block(f):

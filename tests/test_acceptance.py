@@ -25,7 +25,7 @@ from nyscode.harness import (
     run_nystrom_eval,
     run_pdl_compare,
 )
-from nyscode.nystrom import approximation_errors, decompose
+from nyscode.nystrom import approximation_errors, code_kernel, decompose
 from nyscode.spectra import rank_k_residual
 from oracles import covering_radius, reconstruct_code
 
@@ -113,7 +113,7 @@ def test_criterion_1_nystrom_exactness():
         A = rng.standard_normal((32, r))
         C = _symmetrize(A @ A.T)
         idx = _spanning_columns(C, r, rng)
-        errs = approximation_errors(C, decompose(C, idx))
+        errs = approximation_errors(decompose(code_kernel(C), idx))
         K = _symmetrize(C @ C.T)
         worst_code = max(worst_code, errs.code_err / np.linalg.norm(C))
         worst_kernel = max(worst_kernel, errs.kernel_err / np.linalg.norm(K))
@@ -141,7 +141,7 @@ def test_criterion_2_slice_consistency():
         s = np.linalg.svd(W, compute_uv=False)
         if s[-1] <= 1e-8 * s[0]:
             continue  # criterion applies only to numerically full-rank W
-        rec = reconstruct_code(decompose(C, idx))
+        rec = reconstruct_code(decompose(code_kernel(C), idx))
         rel = np.linalg.norm(rec[idx, :] - C[idx, :]) / np.linalg.norm(C[idx, :])
         worst = max(worst, rel)
         done += 1

@@ -15,6 +15,7 @@ from nyscode.bounds import (
 )
 from nyscode.coding import full_code
 from nyscode.data import DataMatrix, normalize_columns
+from nyscode.nystrom import code_kernel
 from nyscode.spectra import SpectralReport, spectral_report
 
 
@@ -56,7 +57,7 @@ class TestEvalBound:
 
     def test_from_real_spectral_report(self):
         C = np.diag([4.0, 2.0, 1.0, 0.5])
-        rep = spectral_report(C, energy=0.9)
+        rep = spectral_report(code_kernel(C), energy=0.9)
         assert rep.k == 2
         expected = rep.rank_k_residual + epsilon_min(8, 2) * rep.scaled_diag_max
         assert eval_eq1_bound(rep, 8) == expected
@@ -79,7 +80,7 @@ class TestBoundVacuity:
         alpha = alpha_frac * float(np.max(np.sum(X.values**2, axis=0)))
         C = full_code(X, alpha).values
         assert np.max(C) <= np.max(np.diag(C))
-        rep = spectral_report(C)
+        rep = spectral_report(code_kernel(C))
         fro = np.linalg.norm(C)
         assert fro <= rep.scaled_diag_max
         assert rep.k >= 1

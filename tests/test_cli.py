@@ -374,17 +374,20 @@ class TestEncodeCommand:
             == cli.EXIT_ARGUMENT
         )
 
-    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e300"])
-    def test_alpha_not_below_top_similarity_exits_2(self, tmp_path, capsys, alpha):
-        # inf and 1e300 used to write an all-zero code matrix, and nan failed later
-        # with a message naming neither the flag nor its value
+    @pytest.mark.parametrize("alpha, message", [
+        pytest.param("inf", "alpha must be finite, got inf", id="inf"),
+        pytest.param("nan", "alpha must be finite, got nan", id="nan"),
+        pytest.param("1e300", "alpha=1e+300 is not below", id="1e300"),
+    ])
+    def test_alpha_not_below_top_similarity_exits_2(self, tmp_path, capsys, alpha, message):
+        # 1e300 would write an all-zero code matrix; a non-finite alpha is rejected by name
         data = tmp_path / "data.csv"
         cli.main(["synth", "--d", "4", "--k", "2", "--n", "10", "--out", str(data)])
         out = tmp_path / "codes.csv"
         argv = ["encode", "--data", str(data), "--labels", "--c", "3", "--alpha", alpha,
                 "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_ARGUMENT
-        assert f"alpha={float(alpha)} is not below" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_c_larger_than_dataset_exits_2(self, tmp_path):

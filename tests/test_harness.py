@@ -321,7 +321,7 @@ class TestSweepErrorsMatchOracle:
 
     @staticmethod
     def _oracle_errors(C, idx):
-        f = nystrom.decompose(C, idx)
+        f = nystrom.decompose(nystrom.code_kernel(C), idx)
         return (np.linalg.norm(C - reconstruct_code(f)),
                 np.linalg.norm(C @ C.T - reconstruct_kernel(f)))
 
@@ -358,38 +358,26 @@ class TestSweepErrorsMatchOracle:
 
 
 class TestNoKernelInSweeps:
-    """Sweep cells build no kernel C C^T: the sweep builds one ``CodeKernel`` per
-    code matrix with sampled cells to score, and every cell reuses it."""
-
-    @pytest.fixture
-    def kernels(self, monkeypatch):
-        # the K of every CodeKernel built, by the sweep or inside approximation_errors
-        built = []
-        real = nystrom.code_kernel
-
-        def spy(C):
-            kernel = real(C)
-            built.append(kernel.K)
-            return kernel
-
-        monkeypatch.setattr(harness, "code_kernel", spy)
-        monkeypatch.setattr(nystrom, "code_kernel", spy)
-        return built
+    """Sweep cells build no kernel C C^T of their own: the sweep makes one ``CodeKernel``
+    per code matrix, which builds K once, where the spectrum or a score first reads it,
+    and every cell reuses it."""
 
     @pytest.mark.parametrize(
         "run, cfg, built",
         [
             (run_curve, CurveConfig(**SMALL_CURVE), 1),
-            (run_curve, CurveConfig(**SMALL_CURVE, dict_source="kmeans", kmeans_iters=10), 0),
+            # N_train 640, below LEADING_MIN_N: the spectrum is eigvalsh of C, and no draws
+            (run_curve, CurveConfig(**{**SMALL_CURVE, "n_samples": 800},
+                                    dict_source="kmeans", kmeans_iters=10), 0),
             (run_nystrom_eval, NystromEvalConfig(**{**SMALL_NYSTROM, "k_list": [2, 4]}), 2),
         ],
         ids=["curve-sampled", "curve-kmeans", "nystrom-eval"],
     )
-    def test_no_kernel_built(self, kernels, run, cfg, built):
+    def test_no_kernel_built(self, k_builds, run, cfg, built):
         run(cfg)
-        assert len(kernels) == built
+        assert len(k_builds) == built
 
-    def test_full_sample_falls_back_on_the_sweep_kernel(self, kernels, monkeypatch):
+    def test_full_sample_falls_back_on_the_sweep_kernel(self, k_builds, monkeypatch):
         # c = n_train samples every column, so its errors are ~0, below TRACE_FLOOR,
         # and each of its cells takes the exact residuals against the one sweep K
         exact = []
@@ -402,10 +390,10 @@ class TestNoKernelInSweeps:
         monkeypatch.setattr(nystrom, "_residual_norms", spy)
         n_train = 96  # 0.8 of SMALL_CURVE's 120 samples
         rep = run_curve(CurveConfig(**{**SMALL_CURVE, "c_grid": [4, 8, n_train]}))
-        assert len(kernels) == 1
+        assert len(k_builds) == 1
         assert len(exact) == len(SMALL_CURVE["seeds"])
         assert exact[0].shape == (n_train, n_train)
-        assert all(K is kernels[0] for K in exact)
+        assert all(K is k_builds[0]() for K in exact)
         full = rep.curve[-1]
         assert full.c == n_train and full.code_err <= 1e-9 and full.kernel_err <= 1e-9
 
@@ -414,9 +402,9 @@ class TestNoKernelInSweeps:
         scored = []
         real = harness.approximation_errors
 
-        def spy(kernel, f):
-            out = real(kernel, f)
-            scored.append((kernel, f.indices.size, kernel.workspace(0).base))
+        def spy(f):
+            out = real(f)
+            scored.append((f.kernel, f.indices.size, f.kernel.workspace(0).base))
             return out
 
         monkeypatch.setattr(harness, "approximation_errors", spy)
@@ -431,34 +419,37 @@ class TestNoKernelInSweeps:
             assert all(buffer is buffers[0] for buffer in buffers)
 
     @pytest.mark.parametrize("dict_source", ["sampled", "kmeans"])
-    def test_code_matrix_and_kernel_freed_before_classifying(self, monkeypatch, dict_source):
-        # the N_train x N_train arrays C and K are dead by the first encode of a cell
+    def test_code_matrix_and_kernel_freed_before_classifying(
+            self, monkeypatch, k_builds, dict_source):
+        # the N_train x N_train arrays C and K, and the kernel that holds them, are dead
+        # by the first encode of a cell; a kmeans curve below LEADING_MIN_N builds no K
         refs = []
 
-        def track(module, name, array):
+        def track(module, name, referent):
             real = getattr(module, name)
 
             def call(*args, **kwargs):
                 out = real(*args, **kwargs)
-                refs.append(weakref.ref(array(out)))
+                refs.append(weakref.ref(referent(out)))
                 return out
 
             monkeypatch.setattr(module, name, call)
 
         track(harness, "full_code", lambda C: C.values)
-        track(harness, "code_kernel", lambda kernel: kernel.K)
+        track(harness, "code_kernel", lambda kernel: kernel)
         encodes = []
         real_encode = harness.encode
 
         def encode(*args, **kwargs):
             if not encodes:
-                assert [ref() for ref in refs] == [None] * len(refs)
+                assert [ref() for ref in refs + k_builds] == [None] * len(refs + k_builds)
             encodes.append(1)
             return real_encode(*args, **kwargs)
 
         monkeypatch.setattr(harness, "encode", encode)
         run_curve(CurveConfig(**SMALL_CURVE, dict_source=dict_source, kmeans_iters=10))
-        assert len(refs) == (2 if dict_source == "sampled" else 1) and encodes
+        assert len(refs) == 2 and encodes
+        assert len(k_builds) == (1 if dict_source == "sampled" else 0)
 
 
 class TestOneFeatureMatrixAlive:

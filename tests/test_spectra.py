@@ -61,7 +61,7 @@ class TestRankKResidual:
 
 
 def scaled_diag_max(C):
-    return spectral_report(C).scaled_diag_max
+    return spectral_report(code_kernel(C)).scaled_diag_max
 
 
 class TestScaledDiagMax:
@@ -109,7 +109,7 @@ class TestEffectiveRank:
     @pytest.mark.parametrize("energy", [0.0, 1.1, -0.5])
     def test_energy_out_of_range(self, energy):
         with pytest.raises(ValueError, match=r"energy must be in \(0, 1\]"):
-            spectral_report(np.eye(2), energy=energy)
+            spectral_report(code_kernel(np.eye(2)), energy=energy)
 
     def test_zero_matrix_has_rank_zero(self):
         assert effective_rank(np.zeros((3, 3)), 0.95) == 0
@@ -118,7 +118,7 @@ class TestEffectiveRank:
 class TestSpectralReport:
     def test_matches_component_functions(self):
         C = symmetrized(np.random.default_rng(6).standard_normal((7, 7)))
-        rep = spectral_report(C, energy=0.7)
+        rep = spectral_report(code_kernel(C), energy=0.7)
         assert rep.k == 3
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 3), rel=1e-12)
         assert rep.scaled_diag_max == 7 * np.max(np.diag(C))
@@ -127,12 +127,12 @@ class TestSpectralReport:
 
     def test_default_k_is_effective_rank(self):
         C = np.diag([10.0, 1.0, 1.0])
-        rep = spectral_report(C, energy=0.95)
+        rep = spectral_report(code_kernel(C), energy=0.95)
         assert rep.k == effective_rank(C, 0.95) == 1
 
     def test_residual_invariant_definition(self):
         C = symmetrized(np.random.default_rng(7).standard_normal((5, 5)))
-        rep = spectral_report(C, energy=0.6)
+        rep = spectral_report(code_kernel(C), energy=0.6)
         assert rep.k == 2
         tail = np.sqrt(np.sum(rep.singular_values[2:] ** 2))
         assert rep.rank_k_residual == pytest.approx(tail, rel=1e-10)
@@ -159,8 +159,9 @@ class TestSingularValues:
         C = full_code(X, alpha=0.25).values
         assert np.linalg.eigvalsh(C).min() < 0
         want = np.linalg.svd(C, compute_uv=False)
+        kernel = code_kernel(C)
         calls = self._spy(monkeypatch)
-        s = spectral_report(C, energy=0.95).singular_values
+        s = spectral_report(kernel, energy=0.95).singular_values
         assert calls == ["eigvalsh"]
         assert np.all(np.diff(s) <= 0)
         assert np.max(np.abs(s - want)) <= 1e-12 * want[0]
@@ -169,7 +170,7 @@ class TestSingularValues:
         C = np.random.default_rng(9).standard_normal((6, 6))
         calls = self._spy(monkeypatch)
         with pytest.raises(ValueError, match="C must be square and equal to its transpose"):
-            spectral_report(C)
+            spectral_report(code_kernel(C))
         assert calls == []
 
 
@@ -188,7 +189,7 @@ def _acceptance_code(which):
 def test_report_k_matches_svd_on_acceptance_data(which):
     C = _acceptance_code(which)
     svd_k = _energy_rank(np.linalg.svd(C.values, compute_uv=False), 0.95)
-    assert spectral_report(C, energy=0.95).k == svd_k
+    assert spectral_report(code_kernel(C), energy=0.95).k == svd_k
 
 
 def _curve_diag_code():
@@ -235,7 +236,7 @@ class TestLeadingSpectrum:
     @pytest.mark.parametrize("energy, leading", [(0.5, True), (0.95, True), (0.99, True)])
     def test_matches_full_spectrum_on_curve_diag(self, curve_diag, energy, leading):
         C, s = curve_diag
-        rep = spectral_report(C, energy=energy)
+        rep = spectral_report(code_kernel(C), energy=energy)
         k = _energy_rank(s, energy)
         assert rep.k == k
         assert rep.rank_k_residual == pytest.approx(tail_norm(s, k), rel=1e-10)
@@ -246,7 +247,7 @@ class TestLeadingSpectrum:
     def test_largest_eigenvalue_negative(self):
         lam = np.concatenate([[-50.0, 30.0, -20.0, 12.0], 0.5 * np.cos(np.arange(1020))])
         C = _symmetric(lam, seed=0)
-        rep = spectral_report(C, energy=0.95)
+        rep = spectral_report(code_kernel(C), energy=0.95)
         assert np.linalg.eigvalsh(C)[0] == pytest.approx(-50.0)
         assert rep.k == effective_rank(C, 0.95) == 4
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 4), rel=1e-10)
@@ -257,11 +258,12 @@ class TestLeadingSpectrum:
         # the tail is at most (1 - energy) ||C||_F^2 = 0, below the floor: the
         # Krylov iteration could only be thrown away, so it never starts
         C, s = curve_diag
+        kernel = code_kernel(C)
         calls = _eigvalsh_calls(monkeypatch)
         entered = []
         monkeypatch.setattr(spectra, "_leading_spectrum", lambda *a: entered.append(1))
-        rep = spectral_report(C, energy=1.0)
-        assert entered == []
+        rep = spectral_report(kernel, energy=1.0)
+        assert entered == [] and "K" not in vars(kernel)
         assert calls == [C.shape]
         assert rep.k == _energy_rank(s, 1.0)
         assert rep.rank_k_residual == tail_norm(s, rep.k)
@@ -272,8 +274,9 @@ class TestLeadingSpectrum:
         # TRACE_FLOOR of ||C||_F^2, where the subtraction would lose its digits
         n = 1024
         C = _symmetric(np.ones(6), seed=1, n=n)
+        kernel = code_kernel(C)
         calls = _eigvalsh_calls(monkeypatch)
-        rep = spectral_report(C, energy=0.95)
+        rep = spectral_report(kernel, energy=0.95)
         assert calls == [(n, n)]
         assert rep.k == effective_rank(C, 0.95) == 6
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, 6), abs=1e-12)
@@ -284,7 +287,7 @@ class TestLeadingSpectrum:
         # the Krylov space is exhausted after a block or two; the later blocks
         # must still come out orthogonal to the basis
         C = _symmetric(np.linspace(1.0, 3.0, rank), seed=rank, n=1024)
-        rep = spectral_report(C, energy=energy)
+        rep = spectral_report(code_kernel(C), energy=energy)
         k = effective_rank(C, energy)
         assert rep.k == k
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, k), rel=1e-10)
@@ -292,21 +295,21 @@ class TestLeadingSpectrum:
 
     def test_reruns_are_bit_identical(self, curve_diag):
         C, _ = curve_diag
-        a, b = spectral_report(C, energy=0.95), spectral_report(C.copy(), energy=0.95)
+        a, b = (spectral_report(code_kernel(M), energy=0.95) for M in (C, C.copy()))
         assert (a.k, a.rank_k_residual) == (b.k, b.rank_k_residual)
         assert a.singular_values.tobytes() == b.singular_values.tobytes()
 
     def test_leading_path_skips_eigvalsh(self, curve_diag, monkeypatch):
-        C, _ = curve_diag
+        kernel = code_kernel(curve_diag[0])
         calls = _eigvalsh_calls(monkeypatch)
-        rep = spectral_report(C, energy=0.95)
+        rep = spectral_report(kernel, energy=0.95)
         assert calls == []
         assert rep.k == 14
 
     def test_small_matrix_uses_eigvalsh(self, monkeypatch):
-        C = _acceptance_code("nys3-k4")
+        kernel = code_kernel(_acceptance_code("nys3-k4"))
         calls = _eigvalsh_calls(monkeypatch)
-        rep = spectral_report(C, energy=0.95)
+        rep = spectral_report(kernel, energy=0.95)
         assert calls == [(256, 256)]
         assert len(rep.singular_values) == 256
 
@@ -318,20 +321,13 @@ class TestLeadingSpectrum:
         monkeypatch.setattr(spectra, "_leading_spectrum", lambda *a: calls.append("leading"))
         with pytest.raises(ValueError, match=r"C must be square and equal to its transpose, "
                            r"got shape \(1024, 1024\)"):
-            spectral_report(C, energy=0.95)
+            spectral_report(code_kernel(C), energy=0.95)
         assert calls == []
 
 
 class TestKernelInput:
-    """``spectral_report`` of a ``CodeKernel`` reads the kernel's K and ||C||_F^2."""
-
-    @pytest.mark.parametrize("energy", [0.5, 0.95, 0.99])
-    def test_matches_plain_matrix_bit_for_bit(self, curve_diag, energy):
-        C, _ = curve_diag
-        a, b = spectral_report(code_kernel(C), energy=energy), spectral_report(C, energy=energy)
-        assert (a.k, a.rank_k_residual, a.scaled_diag_max) == (
-            b.k, b.rank_k_residual, b.scaled_diag_max)
-        assert a.singular_values.tobytes() == b.singular_values.tobytes()
+    """``spectral_report`` reads C, ||C||_F^2 and, for the leading spectrum only, K from
+    the ``CodeKernel`` that ``code_kernel`` made of C."""
 
     def test_kernel_is_not_checked_again(self, curve_diag, monkeypatch):
         # code_kernel checked its C; the report neither compares C with its transpose
@@ -351,15 +347,9 @@ class TestKernelInput:
         ("curve-diag", 0.95, 1),  # the leading spectrum reads one K
     ])
     def test_plain_matrix_builds_a_kernel_only_for_the_leading_path(
-            self, curve_diag, monkeypatch, which, energy, built):
-        C = curve_diag[0] if which == "curve-diag" else _acceptance_code(which)
-        kernels = []
-        real = nystrom.code_kernel
-
-        def spy(C):
-            kernels.append(C)
-            return real(C)
-
-        monkeypatch.setattr(nystrom, "code_kernel", spy)
-        spectral_report(C, energy=energy)
-        assert len(kernels) == built
+            self, curve_diag, k_builds, which, energy, built):
+        # the kernel of a plain C builds its K = C C^T only where the Krylov iteration runs
+        kernel = code_kernel(curve_diag[0] if which == "curve-diag" else _acceptance_code(which))
+        spectral_report(kernel, energy=energy)
+        assert len(k_builds) == built
+        assert ("K" in vars(kernel)) == bool(built)
