@@ -15,12 +15,14 @@ The work saved never changes a rounding:
 * centroids come from one stable radix sort of the assignments: each
   cluster's mean is summed over the same rows in the same order as the
   boolean mask;
-* a new seed or center is compared exactly only with the rows that a one
-  mat-vec estimate cannot rule out (``_lower_min_sq_dists``).
+* k-means++ seeding and K-centers share one greedy loop (``_greedy``), in
+  which a new seed or center is compared exactly only with the rows that a
+  one mat-vec estimate cannot rule out (``_lower_min_sq_dists``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,25 +120,26 @@ def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
 def _kmeanspp_init(
     pts: np.ndarray, pts_sq: np.ndarray, c: int, rng: np.random.Generator
 ) -> np.ndarray:
-    n = pts.shape[0]
-    centers = np.empty((c, pts.shape[1]))
-    chosen = np.zeros(n, dtype=bool)
-    first = int(rng.integers(n))
-    centers[0] = pts[first]
-    chosen[first] = True
-    d2 = np.full(n, np.inf)
-    _lower_min_sq_dists(pts, pts_sq, centers[0], d2)
-    for j in range(1, c):
+    def pick(d2: np.ndarray, chosen: list[int]) -> int:
         total = d2.sum()
         if total > 0.0:
-            idx = _draw(rng, d2 / total)
-        else:
-            # remaining points coincide with chosen centers: take the first unchosen
-            idx = int(np.flatnonzero(~chosen)[0])
-        centers[j] = pts[idx]
-        chosen[idx] = True
-        _lower_min_sq_dists(pts, pts_sq, centers[j], d2)
-    return centers
+            return _draw(rng, d2 / total)
+        # remaining points coincide with chosen centers: take the first unchosen
+        return int(np.setdiff1d(np.arange(len(d2)), chosen)[0])
+
+    return pts[_greedy(pts, pts_sq, int(rng.integers(pts.shape[0])), c, pick)]
+
+
+def _greedy(pts: np.ndarray, pts_sq: np.ndarray, first: int, c: int, pick: Callable) -> list[int]:
+    """Rows chosen one at a time: ``first``, then ``pick(d2, chosen)`` until there
+    are c, where ``d2`` holds each row's squared distance to its nearest chosen row."""
+    chosen = [first]
+    d2 = np.full(pts.shape[0], np.inf)
+    _lower_min_sq_dists(pts, pts_sq, pts[first], d2)
+    for _ in range(1, c):
+        chosen.append(pick(d2, chosen))
+        _lower_min_sq_dists(pts, pts_sq, pts[chosen[-1]], d2)
+    return chosen
 
 
 def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
@@ -250,13 +253,4 @@ def kcenters(F: np.ndarray, c: int, seed: int, first: int | None = None) -> list
         first = int(np.random.default_rng(seed).integers(n))
     elif not (0 <= first < n):
         raise ValueError(f"first pick {first} out of range 0..{n - 1}")
-    F_sq = (F**2).sum(axis=1)
-    selected = [first]
-    d2 = np.full(n, np.inf)
-    _lower_min_sq_dists(F, F_sq, F[first], d2)
-    for _ in range(1, c):
-        nxt = int(np.argmax(d2))
-        selected.append(nxt)
-        _lower_min_sq_dists(F, F_sq, F[nxt], d2)
-    return selected
-
+    return _greedy(F, (F**2).sum(axis=1), first, c, lambda d2, _: int(np.argmax(d2)))

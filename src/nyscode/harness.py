@@ -84,8 +84,9 @@ class _Config:
 
     def __post_init__(self):
         """Reject a value that does not fit its field's type, an empty list, a
-        ``_POSITIVE`` key or list entry at or below zero, an ``energy`` outside
-        (0, 1] or a ``split_fraction`` outside (0, 1); a list becomes a tuple."""
+        repeated seed, a ``_POSITIVE`` key or list entry at or below zero, an
+        ``energy`` outside (0, 1] or a ``split_fraction`` outside (0, 1); a list
+        becomes a tuple."""
         for key, hint in typing.get_type_hints(type(self)).items():
             value = getattr(self, key)
             if not _fits(value, hint):
@@ -97,6 +98,8 @@ class _Config:
                 setattr(self, key, tuple(value))
             if typing.get_origin(hint) is list and not value:
                 raise ValueError(f"config key {key!r} must be non-empty")
+        if repeated := sorted({s for s in self.seeds if self.seeds.count(s) > 1}):
+            raise ValueError(f"config key 'seeds' repeats seed {repeated[0]}: {self.seeds}")
         for key in self._POSITIVE:
             value = getattr(self, key)
             if isinstance(value, list):

@@ -184,11 +184,15 @@ class TestConfigRejectedBeforeWork:
              "config key 'path' is read only when dataset is 'csv', got dataset 'synth'"),
             ("curve", dict(CURVE_CFG, dataset="csv"),
              "config key 'path' is required when dataset is 'csv'"),
+            ("curve", dict(CURVE_CFG, seeds=[0, 1, 0]), "config key 'seeds' repeats seed 0"),
+            ("pdl", dict(PDL, seeds=[2, 2]), "config key 'seeds' repeats seed 2"),
+            ("nystrom-eval", {"c_grid": [4], "seeds": [0, 0]}, "config key 'seeds' repeats seed 0"),
         ],
         ids=["c_grid-zero", "overshoot-too-large", "final_c-zero", "regions-too-large",
              "overshoot-zero", "pool_op", "dict_source", "dataset", "normalize", "energy",
              "curve-split_fraction", "pdl-split_fraction", "path-without-csv",
-             "csv-without-path"],
+             "csv-without-path", "curve-repeated-seed", "pdl-repeated-seed",
+             "nystrom-eval-repeated-seed"],
     )
     def test_exits_2_naming_key_before_any_fit(self, tmp_path, capsys, spies, command,
                                                  payload, named):

@@ -140,24 +140,10 @@ class TestKMeans:
 
 
 class TestKCenters:
-    @staticmethod
-    def _greedy_oracle(F, c, first):
-        # enumerate the greedy trace step by step with explicit loops
-        F = np.asarray(F, dtype=float)
-        chosen = [first]
-        for _ in range(c - 1):
-            best, best_d = None, -1.0
-            for i in range(F.shape[0]):
-                d = min(np.linalg.norm(F[i] - F[s]) for s in chosen)
-                if d > best_d + 1e-15:
-                    best, best_d = i, d
-            chosen.append(best)
-        return chosen
-
     def test_line_instance(self):
         F = np.array([[0.0], [1.0], [10.0]])
         assert kcenters(F, 2, seed=0, first=0) == [0, 2]
-        assert kcenters(F, 2, seed=0, first=0) == self._greedy_oracle(F, 2, 0)
+        assert kcenters(F, 2, seed=0, first=0) == _plain_kcenters(F, 2, 0)[0]
 
     def test_all_rows_covering_radius_zero(self):
         F = np.random.default_rng(0).standard_normal((6, 2))
@@ -175,8 +161,9 @@ class TestKCenters:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_greedy_oracle(self, seed):
         F = np.random.default_rng(seed).standard_normal((12, 3))
+        F[7] = F[2]  # a duplicated row
         for c in (2, 5, 8):
-            assert kcenters(F, c, seed=0, first=3) == self._greedy_oracle(F, c, 3)
+            assert kcenters(F, c, seed=0, first=3) == _plain_kcenters(F, c, 3)[0]
 
     def test_covering_radius_non_increasing_in_c(self):
         F = np.random.default_rng(7).standard_normal((30, 2))
@@ -248,6 +235,17 @@ def _plain_kmeans(X, c, max_iters, seed):
     return atoms, atoms / np.where(norms == 0.0, 1.0, norms), history
 
 
+# Plain farthest-first K-centers: a full exact update per center, the
+# argmax's first maximum breaking ties. kcenters must match it bit for bit.
+def _plain_kcenters(F, c, first):
+    selected = [first]
+    d2 = ((F - F[first]) ** 2).sum(axis=1)
+    for _ in range(1, c):
+        selected.append(int(np.argmax(d2)))
+        d2 = np.minimum(d2, ((F - F[selected[-1]]) ** 2).sum(axis=1))
+    return selected, float(np.sqrt(d2.max()))
+
+
 def _unit_patches():
     images, _ = synth_texture_images(6, 2, 16, 4, 5, 0.8, seed=0)
     return normalize_columns(extract_patches_stack(images, 4, 2).patches, "unit_l2").values
@@ -282,6 +280,15 @@ def _near_distinct():
     return np.concatenate([values, values[:, :4]], axis=1)
 
 
+def _permuted():
+    # the origin and 59 orderings of one vector: all lie at one distance from
+    # the origin in exact arithmetic, so the order in which a sum of squares
+    # adds them up (set by the memory order) decides the farthest one
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(8)
+    return np.array([np.zeros(8)] + [rng.permutation(v) for _ in range(59)]).T.copy()
+
+
 BIT_IDENTITY_CASES = {
     # name: (d x N values, cluster counts)
     "unit_patches": (_unit_patches, (8, 64)),
@@ -290,6 +297,7 @@ BIT_IDENTITY_CASES = {
     "duplicates": (_duplicates, (4, 8)),
     "integer_grid": (_integer_grid, (6, 30)),
     "c_close_to_n": (_near_distinct, (37, 39)),
+    "permuted": (_permuted, (4, 12)),
 }
 
 
@@ -444,20 +452,14 @@ class TestKMeansBitIdentity:
 
 
 class TestKCentersBitIdentity:
-    @staticmethod
-    def _plain_kcenters(F, c, first):
-        selected = [first]
-        d2 = ((F - F[first]) ** 2).sum(axis=1)
-        for _ in range(1, c):
-            nxt = int(np.argmax(d2))
-            selected.append(nxt)
-            d2 = np.minimum(d2, ((F - F[nxt]) ** 2).sum(axis=1))
-        return selected, float(np.sqrt(d2.max()))
-
-    @pytest.mark.parametrize("name", ["offset_1e4", "integer_grid", "duplicates"])
+    @pytest.mark.parametrize("name", ["offset_1e4", "integer_grid", "duplicates", "permuted"])
     def test_matches_plain_traversal(self, name):
-        F = BIT_IDENTITY_CASES[name][0]().T
-        for c, first in [(2, 0), (10, 3), (F.shape[0], 1)]:
-            selected, radius = self._plain_kcenters(F, c, first)
-            assert kcenters(F, c, seed=0, first=first) == selected
-            assert covering_radius(F, selected) == radius
+        # numpy sums a row-major F's rows pairwise and a column-major one a
+        # column at a time; the selection follows each order's distances
+        values = BIT_IDENTITY_CASES[name][0]().T
+        for order in ("C", "F"):
+            F = np.asarray(values, order=order)
+            for c, first in [(2, 0), (10, 3), (F.shape[0], 1)]:
+                selected, radius = _plain_kcenters(F, c, first)
+                assert kcenters(F, c, seed=0, first=first) == selected
+                assert covering_radius(F, selected) == radius

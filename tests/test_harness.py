@@ -308,6 +308,12 @@ class TestListRulesOnBuild:
         with pytest.raises(ValueError, match=f"{key} values must be >= 1, got 0"):
             cls(**{**REQUIRED[cls], key: [2, 0]})
 
+    @pytest.mark.parametrize("cls", list(REQUIRED), ids=lambda cls: cls.__name__)
+    def test_repeated_seed_rejected(self, cls):
+        # a repeated seed would count one draw twice in every mean, std and coverage
+        with pytest.raises(ValueError, match=r"config key 'seeds' repeats seed 3: \[3, 1, 3\]"):
+            cls(**{**REQUIRED[cls], "seeds": [3, 1, 3]})
+
     @pytest.mark.parametrize("extra", [{"k_list": [2, 13]}, {"k_list": [9], "n_samples": 8}],
                              ids=["above-d", "above-n_samples"])
     def test_k_list_above_synth_manifold_range_rejected(self, extra):
