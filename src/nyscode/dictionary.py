@@ -152,11 +152,9 @@ def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
 
 def _relocate_empty(
     pts: np.ndarray, pts_sq: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
-    d2: np.ndarray | None = None,
+    d2: np.ndarray,
 ) -> np.ndarray:
     empty = np.setdiff1d(np.arange(centroids.shape[0]), assign)
-    if empty.size == 0:
-        return centroids
     minima = _nearest(pts, centroids, pts_sq, d2)[1]
     for j in empty:
         far = int(np.argmax(minima))
@@ -166,7 +164,7 @@ def _relocate_empty(
 
 
 def _nearest(
-    pts: np.ndarray, centers: np.ndarray, pts_sq: np.ndarray, d2: np.ndarray | None = None
+    pts: np.ndarray, centers: np.ndarray, pts_sq: np.ndarray, d2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's nearest center and distance under ``max((‖p‖² − 2 p·c) + ‖c‖², 0)``.
 

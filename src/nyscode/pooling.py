@@ -42,25 +42,14 @@ def pool(
     per_image = gr * gc
     if codes.N % per_image != 0:
         raise ValueError(f"code rows {codes.N} not a multiple of patches per image {per_image}")
-    images = codes.N // per_image
-    c = codes.c
-
-    cube = codes.values.reshape(images, gr, gc, c)
-    row_edges = _region_edges(gr, pr)
-    col_edges = _region_edges(gc, pc)
-    out = np.empty((images, pr * pc * c))
-    for ri in range(pr):
-        r0, r1 = row_edges[ri]
-        for rj in range(pc):
-            c0, c1 = col_edges[rj]
-            block = cube[:, r0:r1, c0:c1, :]
-            if op == "average":
-                pooled = block.mean(axis=(1, 2))
-            else:
-                pooled = block.max(axis=(1, 2))
-            reg = ri * pc + rj
-            out[:, reg * c : (reg + 1) * c] = pooled
-    return CodeMatrix(out)
+    reduce = np.mean if op == "average" else np.max
+    cube = codes.values.reshape(codes.N // per_image, gr, gc, codes.c)
+    blocks = [
+        reduce(cube[:, r0:r1, c0:c1, :], axis=(1, 2))
+        for r0, r1 in _region_edges(gr, pr)
+        for c0, c1 in _region_edges(gc, pc)
+    ]
+    return CodeMatrix(np.concatenate(blocks, axis=1))
 
 
 def check_regions(grid: tuple[int, int], regions: tuple[int, int]) -> None:
@@ -72,10 +61,8 @@ def check_regions(grid: tuple[int, int], regions: tuple[int, int]) -> None:
 
 
 def _region_edges(n: int, parts: int) -> list[tuple[int, int]]:
-    base = n // parts
-    edges = [(i * base, (i + 1) * base) for i in range(parts - 1)]
-    edges.append(((parts - 1) * base, n))
-    return edges
+    cuts = [i * (n // parts) for i in range(parts)] + [n]
+    return list(zip(cuts, cuts[1:]))
 
 
 def pdl(

@@ -486,3 +486,44 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, payload)
         assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
         assert "energy must be in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"c_grid": [4, 8, 16], "seeds": [0], "n_samples": 1, "k": 1},
+            {"c_grid": [4, 8, 16], "seeds": [0], "dataset": "csv", "path": "one.csv"},
+        ],
+        ids=["synth", "csv"],
+    )
+    def test_one_sample_split_names_the_count(self, tmp_path, monkeypatch, capsys, payload):
+        # both used to exit 2 naming an empty (d, 0) training matrix, not the split
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.csv").write_text("0.5,0.1,0\n")
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main(["curve", "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert ("need at least 2 samples to split into training and test sets, got 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("curve", {"c_grid": [4, 8, 16], "seeds": [0], "n_samples": 5},
+             "fewer than 2 usable codebook sizes after skipping oversized ones"),
+            ("pdl", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0], "image_size": 2,
+                     "patch": 4},
+             "patch grid must be positive, got (0, 0)"),
+            ("curve", {"c_grid": [4, 8, 16], "seeds": [0], "classes": 1},
+             "classes must be >= 2"),
+            ("curve", {"c_grid": [4, 8, 16], "seeds": [0], "modes_per_class": 0},
+             "modes_per_class must be >= 1"),
+            ("pdl", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
+                     "prototypes_per_class": 0},
+             "need classes >= 2, images_per_class >= 1, prototypes_per_class >= 1"),
+        ],
+        ids=["curve-grid-oversized", "pdl-patch-grid", "curve-classes", "curve-modes",
+             "pdl-prototypes"],
+    )
+    def test_runner_guard_exits_2(self, tmp_path, capsys, command, payload, message):
+        cfg = _write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
+        assert message in capsys.readouterr().err

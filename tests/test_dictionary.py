@@ -110,7 +110,8 @@ class TestKMeans:
         pts = np.array([[0.0, 0.0], [1.0, 0.1], [10.0, 0.0]])
         centroids = np.array([[0.0, 0.0], [0.5, 0.0], [99.0, 99.0]])
         assign = np.array([0, 1, 1])  # centroid 2 is empty; point 2 is farthest
-        out = _relocate_empty(pts, (pts**2).sum(axis=1), centroids.copy(), assign)
+        out = _relocate_empty(pts, (pts**2).sum(axis=1), centroids.copy(), assign,
+                              np.empty((3, 3)))
         assert np.array_equal(out[2], pts[2])
 
     def test_integer_values_cluster_like_floats(self):
@@ -428,7 +429,8 @@ class TestKMeansBitIdentity:
         pts = np.asarray(values, order=order).T
         centers = pts[:40] + 1e-7 * rng.standard_normal((40, 8))
         clamped = _plain_sq_dists(pts, centers)
-        assign, minima = dictionary._nearest(pts, centers, (pts**2).sum(axis=1))
+        assign, minima = dictionary._nearest(pts, centers, (pts**2).sum(axis=1),
+                                             np.empty((len(pts), len(centers))))
         assert np.array_equal(assign, np.argmin(clamped, axis=1))
         assert minima.tobytes() == clamped[np.arange(len(pts)), assign].tobytes()
         raw = (pts**2).sum(axis=1)[:, None] - 2.0 * pts @ centers.T + (centers**2).sum(axis=1)

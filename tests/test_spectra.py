@@ -293,6 +293,21 @@ class TestLeadingSpectrum:
         assert rep.rank_k_residual == pytest.approx(rank_k_residual(C, k), rel=1e-10)
         assert len(rep.singular_values) == k
 
+    def test_basis_past_cap_takes_exact_path(self, monkeypatch):
+        # a flat spectrum needs k = 625 values at energy 0.95, more than the N / 8 = 128
+        # columns the basis may hold: the iteration runs to the cap and gives up
+        C = symmetrized(np.random.default_rng(0).standard_normal((1024, 1024)))
+        results = []
+        real = spectra._leading_spectrum
+        monkeypatch.setattr(spectra, "_leading_spectrum",
+                            lambda *a: results.append(real(*a)) or results[-1])
+        rep = spectral_report(code_kernel(C), energy=0.95)
+        s = singular_values(C)
+        assert results == [None]
+        assert len(rep.singular_values) == 1024
+        assert rep.k == _energy_rank(s, 0.95) == 625
+        assert rep.rank_k_residual == tail_norm(s, 625)
+
     def test_reruns_are_bit_identical(self, curve_diag):
         C, _ = curve_diag
         a, b = (spectral_report(code_kernel(M), energy=0.95) for M in (C, C.copy()))
