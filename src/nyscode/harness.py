@@ -176,8 +176,8 @@ class CurveConfig(_Config):
 class PdlConfig(_Config):
     """Parameters of an overshoot-and-prune dictionary comparison."""
 
-    _POSITIVE = ("lam", "kmeans_iters", "classes", "images_per_class", "patch", "stride",
-                 "final_c_grid", "overshoots")
+    _POSITIVE = ("lam", "kmeans_iters", "classes", "images_per_class", "image_size", "patch",
+                 "stride", "final_c_grid", "overshoots")
 
     final_c_grid: list[int]
     overshoots: list[int]
@@ -203,6 +203,9 @@ class PdlConfig(_Config):
         super().__post_init__()
         if 1 not in self.overshoots:
             raise ValueError("overshoots must include 1 (the baseline)")
+        if self.image_size % self.patch:  # the texture images tile patch x patch prototypes
+            raise ValueError(f"config key 'image_size' must be a multiple of 'patch', got "
+                             f"image_size {self.image_size} and patch {self.patch}")
 
 
 @dataclass
@@ -296,10 +299,13 @@ def _n_train(N: int, fraction: float) -> int:
     return min(max(int(round(fraction * N)), 1), N - 1)
 
 
-def _split(N: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    perm = np.random.default_rng(seed).permutation(N)
-    n_train = _n_train(N, fraction)
-    return perm[:n_train], perm[n_train:]
+def _split(N: int, cfg: CurveConfig | PdlConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The train and test indices of N samples under the config's split, and the ridge
+    coefficient: ``cfg.lam``, or 1e-3 times the number of training samples."""
+    perm = np.random.default_rng(cfg.split_seed).permutation(N)
+    n_train = _n_train(N, cfg.split_fraction)
+    lam = cfg.lam if cfg.lam is not None else 1e-3 * n_train
+    return perm[:n_train], perm[n_train:], lam
 
 
 def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
@@ -317,6 +323,8 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
         )
     else:
         ds = load_csv(cfg.path, has_labels=True)
+        if ds.n_classes < 2 <= ds.data.N:  # a single sample fails on the split instead
+            raise ValueError(f"{cfg.path}: the label column holds 1 class; a curve needs 2 or more")
     return LabeledDataset(normalize_columns(ds.data, cfg.normalize), ds.labels, ds.n_classes)
 
 
@@ -354,28 +362,32 @@ def _nystrom_diagnostics(X: DataMatrix, alpha: float, energy: float, cs: list[in
     return spectral, {c: bounds.eval_eq1_bound(rep, c) for c in cs}, errs
 
 
-def _fit_score(
-    features: typing.Callable[[DataMatrix | PatchGrid], CodeMatrix],
-    Xtr: DataMatrix | PatchGrid,
-    ytr: np.ndarray,
-    Xte: DataMatrix | PatchGrid,
-    yte: np.ndarray,
+def _accuracies(
+    seeds: list[int],
+    seed_features: typing.Callable[[int], typing.Callable[[DataMatrix | PatchGrid], CodeMatrix]],
+    train: tuple[DataMatrix | PatchGrid, np.ndarray],
+    test: tuple[DataMatrix | PatchGrid, np.ndarray],
     n_classes: int,
     lam: float,
-) -> tuple[float, float]:
-    """Train the ridge classifier on (features(Xtr), ytr); return its (train, test) accuracy.
+) -> dict[str, float]:
+    """The ``train_acc`` and ``test_acc`` means and stds over the seeds of a ridge classifier
+    trained on (features(X), y) of ``train`` and scored on ``train`` and ``test``, where
+    ``features = seed_features(seed)`` builds the seed's dictionary and returns its feature map.
 
     One feature matrix is alive at a time: the train features are dropped once
     they are scored, before the test features are built, so both may share one buffer.
     """
-    ftr = features(Xtr)
-    model = classifier.train_ridge(ftr, ytr, n_classes, lam)
-    train_acc = classifier.accuracy(classifier.predict(model, ftr), ytr)
-    del ftr
-    return train_acc, classifier.accuracy(classifier.predict(model, features(Xte)), yte)
-
-
-_SCORES = ("train_acc", "test_acc")  # the fields of a _fit_score tuple
+    (Xtr, ytr), (Xte, yte) = train, test
+    scores = []
+    for seed in seeds:
+        features = seed_features(seed)
+        ftr = features(Xtr)
+        model = classifier.train_ridge(ftr, ytr, n_classes, lam)
+        train_acc = classifier.accuracy(classifier.predict(model, ftr), ytr)
+        del ftr
+        test_acc = classifier.accuracy(classifier.predict(model, features(Xte)), yte)
+        scores.append((train_acc, test_acc))
+    return _mean_std(("train_acc", "test_acc"), scores)
 
 
 def _mean_std(names: tuple[str, ...], samples: list[tuple]) -> dict[str, float]:
@@ -400,14 +412,13 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     fit saturation models on the two smallest sizes, and predict the rest."""
     grid = sorted(set(cfg.c_grid))
     dataset = _curve_dataset(cfg)
-    train_idx, test_idx = _split(dataset.data.N, cfg.split_fraction, cfg.split_seed)
+    train_idx, test_idx, lam = _split(dataset.data.N, cfg)
     X = dataset.data.values
     Xtr = DataMatrix(X[:, train_idx])
     Xte = DataMatrix(X[:, test_idx])
-    ytr = dataset.labels[train_idx]
-    yte = dataset.labels[test_idx]
+    train = (Xtr, dataset.labels[train_idx])
+    test = (Xte, dataset.labels[test_idx])
     n_train = Xtr.N
-    lam = cfg.lam if cfg.lam is not None else 1e-3 * n_train
     check_alpha(Xtr, cfg.alpha)
 
     kept = [c for c in grid if c <= n_train]
@@ -426,24 +437,20 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     codes = np.empty(max(n_train, Xte.N) * kept[-1])  # every cell's codes, train and test
     points: list[CurvePoint] = []
     for c in kept:
-        scores = []
-        for seed in cfg.seeds:
+        def seed_features(seed: int) -> typing.Callable[[DataMatrix], CodeMatrix]:
             if cfg.dict_source == "sampled":
                 D = Dictionary(Xtr.values[:, draws[c, seed]])
             else:
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
-            scores.append(
-                _fit_score(
-                    lambda X: encode(X, D, cfg.alpha, out=codes[: X.N * c].reshape(X.N, c)),
-                    Xtr, ytr, Xte, yte, dataset.n_classes, lam,
-                )
-            )
+            return lambda X: encode(X, D, cfg.alpha, out=codes[: X.N * c].reshape(X.N, c))
+
+        stats = _accuracies(cfg.seeds, seed_features, train, test, dataset.n_classes, lam)
         cell_errs = [dataclasses.astuple(errs[c, seed]) for seed in cfg.seeds if errs]
         points.append(
             CurvePoint(
                 c=c,
                 seeds_used=len(cfg.seeds),
-                **_mean_std(_SCORES, scores),
+                **stats,
                 **_mean_std(("code_err", "kernel_err"), cell_errs),
                 bound_eq1=bound.get(c),
             )
@@ -452,14 +459,12 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     # each saturation model is fitted on the two smallest sizes and predicts every size
     models: dict[str, bounds.SaturationModel] = {}
     p1, p2 = points[:2]
-    for observed, _, form in _FITS:
+    p1.is_fit_point = p2.is_fit_point = True
+    for observed, predicted, form in _FITS:
         y1, y2 = getattr(p1, observed), getattr(p2, observed)
         if y1 is not None and y2 is not None:
             models[observed] = bounds.fit_two_point((p1.c, y1), (p2.c, y2), form)
-    for point in points:
-        point.is_fit_point = point.c in kept[:2]
-        for observed, predicted, _ in _FITS:
-            if observed in models:
+            for point in points:
                 setattr(point, predicted, bounds.predict(models[observed], point.c))
 
     return ExperimentReport(
@@ -497,18 +502,22 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
         cfg.noise,
         cfg.data_seed,
     )
-    train_idx, test_idx = _split(len(images), cfg.split_fraction, cfg.split_seed)
+    train_idx, test_idx, lam = _split(len(images), cfg)
     grid_tr = _normalized_patches(images[train_idx], cfg)
+    # atoms are unit-norm or zero, so no code exceeds the patch norm (Cauchy-Schwarz)
+    V = grid_tr.patches.values
+    top = float(np.sqrt(np.max(np.einsum("ij,ij->j", V, V))))
+    if not cfg.alpha < top:
+        raise ValueError(f"every code is zero: alpha={cfg.alpha} is not below the largest "
+                         f"training patch norm {top:.6g}")
     grid_te = _normalized_patches(images[test_idx], cfg)
-    ytr = labels[train_idx]
-    yte = labels[test_idx]
-    lam = cfg.lam if cfg.lam is not None else 1e-3 * len(train_idx)
+    train = (grid_tr, labels[train_idx])
+    test = (grid_te, labels[test_idx])
 
     rows: list[PdlRow] = []
     for final_c in final_cs:
         for overshoot in overshoots:  # sorted and starting at 1: the baseline comes first
-            scores = []
-            for seed in cfg.seeds:
+            def seed_features(seed: int) -> typing.Callable[[PatchGrid], CodeMatrix]:
                 D = pdl(
                     grid_tr,
                     final_c,
@@ -519,13 +528,10 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
                     kmeans_iters=cfg.kmeans_iters,
                     seed=seed,
                 )
+                return lambda grid: pool(encode(grid.patches, D, cfg.alpha),
+                                         (grid.grid_rows, grid.grid_cols), cfg.regions, cfg.pool_op)
 
-                def features(grid: PatchGrid) -> CodeMatrix:
-                    codes = encode(grid.patches, D, cfg.alpha)
-                    return pool(codes, (grid.grid_rows, grid.grid_cols), cfg.regions, cfg.pool_op)
-
-                scores.append(_fit_score(features, grid_tr, ytr, grid_te, yte, cfg.classes, lam))
-            stats = _mean_std(_SCORES, scores)
+            stats = _accuracies(cfg.seeds, seed_features, train, test, cfg.classes, lam)
             if overshoot == 1:
                 base = stats["test_acc"]
             rows.append(

@@ -187,12 +187,19 @@ class TestConfigRejectedBeforeWork:
             ("curve", dict(CURVE_CFG, seeds=[0, 1, 0]), "config key 'seeds' repeats seed 0"),
             ("pdl", dict(PDL, seeds=[2, 2]), "config key 'seeds' repeats seed 2"),
             ("nystrom-eval", {"c_grid": [4], "seeds": [0, 0]}, "config key 'seeds' repeats seed 0"),
+            # these used to fail in the patch grid or the texture generator, naming neither key
+            ("pdl", dict(PDL, image_size=0), "config key 'image_size' must be > 0, got 0"),
+            ("pdl", dict(PDL, patch=16),
+             "config key 'image_size' must be a multiple of 'patch', got image_size 8 and patch 16"),
+            ("pdl", dict(PDL, patch=3, stride=3),
+             "config key 'image_size' must be a multiple of 'patch', got image_size 8 and patch 3"),
         ],
         ids=["c_grid-zero", "overshoot-too-large", "final_c-zero", "regions-too-large",
              "overshoot-zero", "pool_op", "dict_source", "dataset", "normalize", "energy",
              "curve-split_fraction", "pdl-split_fraction", "path-without-csv",
              "csv-without-path", "curve-repeated-seed", "pdl-repeated-seed",
-             "nystrom-eval-repeated-seed"],
+             "nystrom-eval-repeated-seed", "image_size-zero", "patch-above-image_size",
+             "image_size-not-multiple-of-patch"],
     )
     def test_exits_2_naming_key_before_any_fit(self, tmp_path, capsys, spies, command,
                                                  payload, named):
@@ -511,7 +518,7 @@ class TestExitCodes:
              "fewer than 2 usable codebook sizes after skipping oversized ones"),
             ("pdl", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0], "image_size": 2,
                      "patch": 4},
-             "patch grid must be positive, got (0, 0)"),
+             "config key 'image_size' must be a multiple of 'patch', got image_size 2 and patch 4"),
             ("curve", {"c_grid": [4, 8, 16], "seeds": [0], "classes": 1},
              "classes must be >= 2"),
             ("curve", {"c_grid": [4, 8, 16], "seeds": [0], "modes_per_class": 0},
@@ -519,11 +526,34 @@ class TestExitCodes:
             ("pdl", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
                      "prototypes_per_class": 0},
              "need classes >= 2, images_per_class >= 1, prototypes_per_class >= 1"),
+            # unit-norm atoms: no code exceeds the largest unit_l2 patch norm, 1
+            ("pdl", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0, 1], "alpha": 1.5},
+             "every code is zero: alpha=1.5 is not below the largest training patch norm 1"),
         ],
         ids=["curve-grid-oversized", "pdl-patch-grid", "curve-classes", "curve-modes",
-             "pdl-prototypes"],
+             "pdl-prototypes", "pdl-alpha"],
     )
     def test_runner_guard_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = _write_config(tmp_path, payload)
         assert cli.main([command, "--config", cfg]) == cli.EXIT_ARGUMENT
         assert message in capsys.readouterr().err
+
+    def test_one_class_csv_curve_exits_2_before_full_code(self, tmp_path, monkeypatch, capsys):
+        # this used to run full_code, the spectrum and every Nystrom score, then exit 2
+        # from train_ridge naming neither the file nor the label column
+        monkeypatch.setattr(harness, "full_code", lambda *a, **k: pytest.fail("full_code ran"))
+        data = tmp_path / "one_class.csv"
+        rows = np.random.default_rng(0).standard_normal((40, 3))
+        data.write_text("".join(f"{a},{b},{c},7\n" for a, b, c in rows))
+        cfg = _write_config(tmp_path, {"c_grid": [4, 8, 16], "seeds": [0], "dataset": "csv",
+                                       "path": str(data)})
+        out = tmp_path / "r.csv"
+        assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == cli.EXIT_ARGUMENT
+        assert f"{data}: the label column holds 1 class" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pdl_all_zero_alpha_exits_2_before_kmeans(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pooling, "kmeans", lambda *a, **k: pytest.fail("kmeans ran"))
+        cfg = _write_config(tmp_path, {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
+                                       "normalize": "mean_center", "alpha": 1e6})
+        assert cli.main(["pdl", "--config", cfg]) == cli.EXIT_ARGUMENT

@@ -247,6 +247,19 @@ class TestRunPdlCompare:
             run_pdl_compare(PdlConfig(**cfg))
 
 
+class TestRidgeDefault:
+    # 1e-3 times the training samples: 96 of the curve's 120, 32 of the pdl run's 40 images
+    @pytest.mark.parametrize(
+        "run, cfg, default",
+        [(run_curve, CurveConfig(**SMALL_CURVE), 1e-3 * 96),
+         (run_pdl_compare, PdlConfig(**SMALL_PDL), 1e-3 * 32)],
+        ids=["curve", "pdl"],
+    )
+    def test_lam_effective(self, run, cfg, default):
+        assert run(cfg).config["lam_effective"] == default
+        assert run(dataclasses.replace(cfg, lam=0.5)).config["lam_effective"] == 0.5
+
+
 class TestRunNystromEval:
     def test_cells_and_coverage(self):
         rep = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))

@@ -179,7 +179,7 @@ def _acceptance_code(which):
     if which == "curve":
         cfg = CurveConfig(c_grid=[8, 16, 32], seeds=[0], n_samples=800, alpha=0.25)
         data = _curve_dataset(cfg).data
-        train_idx, _ = _split(data.N, cfg.split_fraction, cfg.split_seed)
+        train_idx, _, _ = _split(data.N, cfg)
         return full_code(DataMatrix(data.values[:, train_idx]), 0.25)
     k = {"nys3-k2": 2, "nys3-k4": 4}[which]
     return full_code(normalize_columns(synth_manifold(32, k, 256, 0.05, 0), "unit_l2"), 0.25)
@@ -197,7 +197,7 @@ def _curve_diag_code():
     cfg = CurveConfig(c_grid=[16, 32, 64], seeds=[0], n_samples=2500, noise=0.15,
                       class_sep=1.6, within=0.9, modes_per_class=4, alpha=0.25)
     data = _curve_dataset(cfg).data
-    train_idx, _ = _split(data.N, cfg.split_fraction, cfg.split_seed)
+    train_idx, _, _ = _split(data.N, cfg)
     return full_code(DataMatrix(data.values[:, train_idx]), 0.25).values
 
 
