@@ -3,8 +3,8 @@
 Subcommands: ``synth`` (write a synthetic labeled dataset), ``curve``
 (accuracy-vs-codebook-size sweep), ``pdl`` (overshoot-and-prune comparison),
 ``nystrom-eval`` (bound coverage), ``encode`` (encode a CSV dataset against a
-sampled dictionary). Exit codes: 0 success, 2 argument/config error, 3 data
-format error, 4 numerical failure.
+sampled dictionary). Exit codes: 0 success, 2 argument/config error (out of
+memory included), 3 data format error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -150,6 +150,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ARGUMENT
+    except MemoryError as e:  # sizes this machine cannot hold; numpy's message names them
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_ARGUMENT
     return EXIT_OK
 

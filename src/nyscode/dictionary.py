@@ -8,13 +8,15 @@ as ``pts[assign == j].mean(axis=0)``, and lower the running min-distance by
 The work saved never changes a rounding:
 
 * squared point norms are computed once per call, and one Lloyd step makes
-  one distance pass (``_nearest``): a full-height matmul into one N x c
-  buffer that every pass of the call reuses, then, per cache-sized row
-  block, the two additions, the ``argmin`` and the row minima. The minima
-  are the step's objective;
+  one distance pass (``_nearest``): a full-height matmul into an N x c view
+  of the call's one scratch buffer of N * max(c, d) doubles, then, per
+  cache-sized row block, the two additions, the ``argmin`` and the row
+  minima. The minima are the step's objective;
 * centroids come from one stable radix sort of the assignments: each
   cluster's mean is summed over the same rows in the same order as the
-  boolean mask;
+  boolean mask. The rows are gathered in cluster order into an N x d view
+  of the same scratch buffer, since the distances are dead by then, so a
+  call holds one copy of the points beside it;
 * k-means++ seeding and K-centers share one greedy loop (``_greedy``), in
   which a new seed or center is compared exactly only with the rows that a
   one mat-vec estimate cannot rule out (``_lower_min_sq_dists``).
@@ -71,10 +73,12 @@ def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
 
     The result is bit-identical to the plain algorithm described in the
     module docstring. One Lloyd step costs one distance pass (an N x d by
-    d x c matmul into the call's one N x c buffer, two additions and an
+    d x c matmul into the call's scratch buffer, two additions and an
     ``argmin`` over it), one radix sort of the N assignments, one N x d row
-    gather and c slice sums. A step that empties a cluster adds one more
-    distance pass for the relocation, into the same buffer.
+    gather into the same buffer and c slice sums. A step that empties a
+    cluster adds one more distance pass for the relocation, into the same
+    buffer. Beside X the call holds about 8 * N * (max(c, d) + d) bytes: the
+    scratch buffer and a row-major copy of the points.
     """
     if not (1 <= c <= X.N):
         raise ValueError(f"need 1 <= c <= N, got c={c}, N={X.N}")
@@ -89,19 +93,24 @@ def kmeans(X: DataMatrix, c: int, max_iters: int, seed: int) -> KMeansResult:
     history: list[float] = []
     pts_rows = np.ascontiguousarray(pts)  # row gathers from a row-major copy are cheap
     sums = np.empty_like(centroids)
-    d2 = np.empty((X.N, c))  # the one distance buffer, refilled by every pass
+    # the call's one scratch buffer: the N x c distances of every pass, and between
+    # passes, while the distances are dead, the N x d cluster-ordered rows
+    scratch = np.empty(X.N * max(c, pts.shape[1]))
+    d2 = scratch[: X.N * c].reshape(X.N, c)
+    grouped = scratch[: pts.size].reshape(pts.shape)
     assign, minima = _nearest(pts, centroids, pts_sq, d2)
     for _ in range(max_iters):
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
         order = np.argsort(assign.astype(np.min_scalar_type(c - 1)), kind="stable")  # radix
-        grouped = pts_rows[order]  # each cluster's rows, in the order a boolean mask gives them
+        # each cluster's rows, in the order a boolean mask gives them; "clip" writes
+        # straight into ``out``, where the default "raise" fills a copy first
+        np.take(pts_rows, order, axis=0, out=grouped, mode="clip")
         counts = np.bincount(assign, minlength=c)
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         for j in range(c):  # an empty slice sums to zero and is not used
             np.add.reduce(grouped[bounds[j] : bounds[j + 1]], axis=0, out=sums[j])
-        del grouped  # not alive beside the distance pass
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]  # what .mean(axis=0) does
         if not filled.all():

@@ -413,11 +413,12 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     grid = sorted(set(cfg.c_grid))
     dataset = _curve_dataset(cfg)
     train_idx, test_idx, lam = _split(dataset.data.N, cfg)
-    X = dataset.data.values
+    X, labels, n_classes = dataset.data.values, dataset.labels, dataset.n_classes
     Xtr = DataMatrix(X[:, train_idx])
     Xte = DataMatrix(X[:, test_idx])
-    train = (Xtr, dataset.labels[train_idx])
-    test = (Xte, dataset.labels[test_idx])
+    del dataset, X  # the sweep reads only the train and test columns, copied out above
+    train = (Xtr, labels[train_idx])
+    test = (Xte, labels[test_idx])
     n_train = Xtr.N
     check_alpha(Xtr, cfg.alpha)
 
@@ -444,7 +445,7 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
                 D = kmeans(Xtr, c, cfg.kmeans_iters, seed).dictionary
             return lambda X: encode(X, D, cfg.alpha, out=codes[: X.N * c].reshape(X.N, c))
 
-        stats = _accuracies(cfg.seeds, seed_features, train, test, dataset.n_classes, lam)
+        stats = _accuracies(cfg.seeds, seed_features, train, test, n_classes, lam)
         cell_errs = [dataclasses.astuple(errs[c, seed]) for seed in cfg.seeds if errs]
         points.append(
             CurvePoint(
@@ -511,6 +512,7 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
         raise ValueError(f"every code is zero: alpha={cfg.alpha} is not below the largest "
                          f"training patch norm {top:.6g}")
     grid_te = _normalized_patches(images[test_idx], cfg)
+    del images  # every fit reads the two patch grids
     train = (grid_tr, labels[train_idx])
     test = (grid_te, labels[test_idx])
 

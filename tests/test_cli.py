@@ -444,6 +444,21 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "curve", boom)
         assert cli.main(["curve"]) == cli.EXIT_NUMERICAL
 
+    def test_out_of_memory_exits_2_naming_the_size(self, tmp_path, monkeypatch, capsys):
+        # a config whose sizes the machine cannot hold; nothing is allocated for real
+        message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                   "and data type float64")
+
+        def oom(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_curve", oom)
+        out = tmp_path / "report.csv"
+        argv = ["curve", "--config", _write_config(tmp_path, CURVE_CFG), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_ARGUMENT
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [KeyError, TypeError])
     def test_programming_error_propagates(self, monkeypatch, exc):
         # no config or data path raises these, so they are bugs, not exit-2 config errors

@@ -133,6 +133,20 @@ class TestKMeans:
             tracemalloc.stop()
         assert peak < 1.25 * n * c * 8
 
+    @pytest.mark.parametrize("d,c", [(64, 64), (64, 16), (64, 256), (16, 256)])
+    def test_peak_memory_is_one_scratch_buffer_and_one_copy(self, d, c):
+        # beside X: the N x max(c, d) scratch buffer that holds the distances and,
+        # between passes, the cluster-ordered rows, and the row-major copy of the points
+        n = 20_000
+        X = DataMatrix(np.random.default_rng(6).standard_normal((d, n)))
+        tracemalloc.start()
+        try:
+            kmeans(X, c, max_iters=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * n * (max(c, d) + d)
+
     @pytest.mark.parametrize("c,iters", [(0, 5), (10, 5), (2, 0)])
     def test_invalid_arguments(self, c, iters):
         X = DataMatrix(np.ones((2, 4)))

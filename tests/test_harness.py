@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import typing
 import weakref
 
@@ -512,6 +513,57 @@ class TestOneFeatureMatrixAlive:
         run(cfg)
         assert len(featurized) == calls
         assert all(ref() is None for ref in featurized)
+
+
+class TestRunnersFreeTheirData:
+    """Once the split is cut, a runner holds only what its fits read: ``curve`` drops the
+    full data matrix and ``pdl`` the image stack. Each config makes the dropped array more
+    than a tenth of the fit's arrays. A tiny run first does the lazy imports untraced."""
+
+    def test_curve_holds_the_split_codes_and_gram(self):
+        run_curve(CurveConfig(**SMALL_CURVE))
+        # N_train 2000 is above nystrom_limit; the c = 256 codes dominate
+        d, n, n_train, c = 64, 2500, 2000, 256
+        cfg = CurveConfig(c_grid=[16, 32, c], seeds=[0], d=d, n_samples=n, nystrom_limit=100)
+        tracemalloc.start()
+        try:
+            run_curve(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the train and test columns, the codes buffer, the ridge Gram and C^T C
+        fit = 8 * (d * n + n_train * c + 2 * (c + 1) ** 2)
+        assert d * n * 8 > 0.1 * fit  # the full data matrix would not fit in the slack
+        assert peak < 1.1 * fit
+
+    def test_pdl_holds_the_patch_grids_and_kmeans(self, monkeypatch):
+        run_pdl_compare(PdlConfig(**SMALL_PDL))
+        # 200 images of 32 x 32 cut into 16 patches of 8 x 8 each, 160 for training;
+        # 64 atoms at overshoot 4 fill the d = 64 K-means scratch rows
+        real_pdl = harness.pdl
+
+        def pdl(*args, **kwargs):  # the fits' peak: from the first pdl call on
+            if not fits:
+                tracemalloc.reset_peak()
+            fits.append(1)
+            return real_pdl(*args, **kwargs)
+
+        fits = []
+        monkeypatch.setattr(harness, "pdl", pdl)
+        cfg = PdlConfig(final_c_grid=[16], overshoots=[1, 4], seeds=[0], images_per_class=100,
+                        image_size=32, patch=8, stride=8, kmeans_iters=3)
+        tracemalloc.start()
+        try:
+            run_pdl_compare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d, patches, n_train = 64, 200 * 16, 160 * 16
+        # both patch grids, K-means' row-major copy of the training patches and its scratch
+        fit = 8 * (d * patches + 2 * n_train * d)
+        assert len(fits) == 2
+        assert 200 * 32 * 32 * 8 > 0.1 * fit  # the image stack would not fit in the slack
+        assert peak < 1.1 * fit
 
 
 @pytest.mark.parametrize(
