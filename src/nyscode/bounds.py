@@ -20,7 +20,7 @@ from .spectra import SpectralReport
 
 ERROR_FORM = "error"
 ACCURACY_FORM = "accuracy"
-_FORMS = (ERROR_FORM, ACCURACY_FORM)
+_SIGN = {ERROR_FORM: 1.0, ACCURACY_FORM: -1.0}  # the slope's sign in each form
 
 FitPoint = tuple[float, float]  # (codebook size, observed value)
 
@@ -55,16 +55,20 @@ def eval_eq1_bound(report: SpectralReport, c: int) -> float:
     return report.rank_k_residual + epsilon_min(c, report.k) * report.scaled_diag_max
 
 
+def _sign(form: str) -> float:
+    if form not in _SIGN:
+        raise ValueError(f"form must be one of {tuple(_SIGN)}, got {form!r}")
+    return _SIGN[form]
+
+
 def fit_two_point(p1: FitPoint, p2: FitPoint, form: str) -> SaturationModel:
     """Solve value_i = offset +/- slope * c_i^(-1/4) exactly from two points."""
-    if form not in _FORMS:
-        raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
+    sign = _sign(form)
     (c1, v1), (c2, v2) = p1, p2
     if c1 < 1 or c2 < 1:
         raise ValueError("codebook sizes must be >= 1")
     if c1 == c2:
         raise ValueError(f"fit points need distinct codebook sizes, both are {c1}")
-    sign = 1.0 if form == ERROR_FORM else -1.0
     t1 = float(c1) ** -0.25
     t2 = float(c2) ** -0.25
     slope = (v1 - v2) / (sign * (t1 - t2))
@@ -83,5 +87,4 @@ def predict(model: SaturationModel, c: int) -> float:
     """Evaluate the saturation model at codebook size c."""
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    sign = 1.0 if model.form == ERROR_FORM else -1.0
-    return model.offset + sign * model.slope * float(c) ** -0.25
+    return model.offset + _sign(model.form) * model.slope * float(c) ** -0.25

@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import DEFAULT_ALPHA, Dictionary, encode
+from .coding import DEFAULT_ALPHA, Dictionary, check_alpha, encode
 from .data import FormatError, csv_text, load_csv, save_csv, synth_labeled_manifold
 from .dictionary import sample_indices
 from .harness import (
     CurveConfig,
     NystromEvalConfig,
     PdlConfig,
-    check_alpha,
     emit,
     run_curve,
     run_nystrom_eval,

@@ -3,7 +3,8 @@
 A sample x is encoded as max(0, x^T D - alpha): a rectified similarity to each
 of the c dictionary atoms. Encoding the training set against itself gives the
 ideal code matrix C = max(0, X^T X - alpha), whose Gram matrix C C^T is the
-kernel every subsampled dictionary approximates.
+kernel every subsampled dictionary approximates. ``check_alpha`` rejects, from
+column norms alone, an alpha that would zero every code.
 """
 
 from __future__ import annotations
@@ -97,6 +98,22 @@ def _is_symmetric(values: np.ndarray) -> bool:
             if np.not_equal(tile, values[j : j + t, i : i + t].T, out=out).any():
                 return False
     return True
+
+
+def check_alpha(X: DataMatrix, alpha: float, atom_norm: float | None = None) -> None:
+    """Reject a non-finite alpha, or one that zeroes every code max(0, <x, a> - alpha) of X.
+
+    By Cauchy-Schwarz no <x, a> exceeds the largest column norm of X times the
+    largest atom norm. That is ``atom_norm``; None means the atoms are columns of
+    X, so the bound is the largest squared column norm. No code is computed.
+    """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    top = np.max(np.einsum("ij,ij->j", X.values, X.values))
+    top = float(top if atom_norm is None else np.sqrt(top) * atom_norm)
+    if not alpha < top:
+        raise ValueError(f"every code is zero: alpha={alpha} is not below the largest "
+                         f"similarity bound {top:.6g}")
 
 
 def encode(

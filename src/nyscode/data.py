@@ -2,14 +2,16 @@
 loader, and the one CSV renderer of the program's tables.
 
 All data lives in column-per-sample orientation: a matrix has shape (d, N)
-with one sample per column. ``load_csv`` transposes its row-per-sample file on read.
+with one sample per column. ``load_csv`` transposes its row-per-sample UTF-8 file on
+read. Both manifold generators sample through ``_sample_manifold``, which checks the
+sizes and the noise and embeds the caller's latent draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, get_args
+from typing import Callable, Literal, get_args
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,9 +88,30 @@ class PatchGrid:
             )
 
 
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_noise(noise: float) -> None:
+    _check_finite(noise=noise)
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
+
+
+def _sample_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int,
+                     draw_latent: Callable[[np.random.Generator], np.ndarray]) -> DataMatrix:
+    """B @ draw_latent(rng) + noise_sigma * Z, B (d x k) orthonormal and Z (d x N) standard
+    normal; B, the k x N latent and Z are drawn in that order from ``seed``'s generator."""
+    if not (1 <= k <= min(d, N)):
+        raise ValueError(f"need 1 <= k <= min(d, N), got d={d}, k={k}, N={N}")
+    _check_noise(noise_sigma)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    latent = draw_latent(rng)
+    noise = rng.standard_normal((d, N))
+    return DataMatrix(basis @ latent + noise_sigma * noise)
 
 
 def synth_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int) -> DataMatrix:
@@ -98,14 +121,7 @@ def synth_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int) -> Dat
     columns, and G (k x N), Z (d x N) are standard normal. With zero noise
     the result has numerical rank exactly k.
     """
-    if not (1 <= k <= min(d, N)):
-        raise ValueError(f"need 1 <= k <= min(d, N), got d={d}, k={k}, N={N}")
-    _check_noise(noise_sigma)
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    latent = rng.standard_normal((k, N))
-    noise = rng.standard_normal((d, N))
-    return DataMatrix(basis @ latent + noise_sigma * noise)
+    return _sample_manifold(d, k, N, noise_sigma, seed, lambda rng: rng.standard_normal((k, N)))
 
 
 def synth_labeled_manifold(
@@ -130,23 +146,19 @@ def synth_labeled_manifold(
     """
     if classes < 2:
         raise ValueError("classes must be >= 2")
-    if not (1 <= k <= min(d, N)):
-        raise ValueError(f"need 1 <= k <= min(d, N), got d={d}, k={k}, N={N}")
     if modes_per_class < 1:
         raise ValueError("modes_per_class must be >= 1")
-    _check_noise(noise_sigma)
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    centers = rng.standard_normal((classes, modes_per_class, k))
-    centers /= np.linalg.norm(centers, axis=2, keepdims=True)
-    centers *= class_sep
-
+    _check_finite(class_sep=class_sep, within=within)
     labels = np.arange(N) % classes
-    modes = rng.integers(modes_per_class, size=N)
-    latent = centers[labels, modes, :].T + within * rng.standard_normal((k, N))
-    noise = rng.standard_normal((d, N))
-    values = basis @ latent + noise_sigma * noise
-    return LabeledDataset(DataMatrix(values), labels, classes)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        centers = rng.standard_normal((classes, modes_per_class, k))
+        centers /= np.linalg.norm(centers, axis=2, keepdims=True)
+        centers *= class_sep
+        modes = rng.integers(modes_per_class, size=N)
+        return centers[labels, modes, :].T + within * rng.standard_normal((k, N))
+
+    return LabeledDataset(_sample_manifold(d, k, N, noise_sigma, seed, draw), labels, classes)
 
 
 def synth_texture_images(
@@ -253,7 +265,10 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
     When ``has_labels`` the last field of each row is an integer class label;
     labels are remapped to contiguous ids 0..L-1 preserving numeric order.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text: {e}") from None
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()

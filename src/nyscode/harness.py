@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, classifier
-from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, encode, full_code
+from .coding import DEFAULT_ALPHA, CodeMatrix, Dictionary, check_alpha, encode, full_code
 from .data import (
     DataMatrix,
     LabeledDataset,
@@ -328,22 +328,6 @@ def _curve_dataset(cfg: CurveConfig) -> LabeledDataset:
     return LabeledDataset(normalize_columns(ds.data, cfg.normalize), ds.labels, ds.n_classes)
 
 
-def check_alpha(X: DataMatrix, alpha: float) -> None:
-    """Reject a non-finite alpha, or one that zeroes the whole code matrix max(0, X^T X - alpha).
-
-    By Cauchy-Schwarz the largest entry of X^T X is the largest squared
-    column norm, so the test needs no N x N matrix.
-    """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    top = float(np.max(np.sum(X.values**2, axis=0)))
-    if not alpha < top:
-        raise ValueError(
-            f"code matrix is all zero: alpha={alpha} is not below the largest "
-            f"pairwise similarity {top:.6g}"
-        )
-
-
 def _nystrom_diagnostics(X: DataMatrix, alpha: float, energy: float, cs: list[int],
                          draws: dict) -> tuple[dict, dict, dict]:
     """The report's entries for the full code matrix C of X: its ``spectral`` summary,
@@ -505,12 +489,7 @@ def run_pdl_compare(cfg: PdlConfig) -> ExperimentReport:
     )
     train_idx, test_idx, lam = _split(len(images), cfg)
     grid_tr = _normalized_patches(images[train_idx], cfg)
-    # atoms are unit-norm or zero, so no code exceeds the patch norm (Cauchy-Schwarz)
-    V = grid_tr.patches.values
-    top = float(np.sqrt(np.max(np.einsum("ij,ij->j", V, V))))
-    if not cfg.alpha < top:
-        raise ValueError(f"every code is zero: alpha={cfg.alpha} is not below the largest "
-                         f"training patch norm {top:.6g}")
+    check_alpha(grid_tr.patches, cfg.alpha, atom_norm=1.0)  # K-means atoms: unit-norm or zero
     grid_te = _normalized_patches(images[test_idx], cfg)
     del images  # every fit reads the two patch grids
     train = (grid_tr, labels[train_idx])

@@ -114,6 +114,11 @@ class TestFitTwoPoint:
         with pytest.raises(ValueError):
             fit_two_point((16, 1.0), (16, 2.0), ERROR_FORM)
 
+    @pytest.mark.parametrize("p1, p2", [((0, 1.0), (4, 2.0)), ((2, 1.0), (0.5, 2.0))])
+    def test_codebook_size_below_1_rejected(self, p1, p2):
+        with pytest.raises(ValueError, match="codebook sizes must be >= 1"):
+            fit_two_point(p1, p2, ERROR_FORM)
+
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             fit_two_point((2, 1.0), (4, 2.0), "linear")
@@ -169,6 +174,14 @@ class TestPredict:
         )
         with pytest.raises(ValueError):
             predict(m, 0)
+
+    def test_unknown_form_rejected(self):
+        # this used to predict with the accuracy form's sign
+        m = SaturationModel(form="linear", offset=1.0, slope=1.0,
+                            fit_points=((2.0, 0.0), (4.0, 0.0)))
+        with pytest.raises(ValueError, match=r"form must be one of \('error', 'accuracy'\), "
+                                             "got 'linear'"):
+            predict(m, 16)
 
 
 class TestSerialization:

@@ -92,6 +92,12 @@ class TestTrainRidge:
         with pytest.raises(ValueError):
             train_ridge(C, np.array([0, 1, 0]), 2, lam=1.0)
 
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]], ids=["too-large", "negative"])
+    def test_label_out_of_range(self, labels):
+        C = _codes([[1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, n_classes\)"):
+            train_ridge(C, np.array(labels), 2, lam=1.0)
+
     def test_bias_not_regularized(self):
         # constant shift of all targets is absorbed entirely by the bias
         C = _codes(np.abs(np.random.default_rng(3).standard_normal((30, 4))))

@@ -111,8 +111,7 @@ class TestCurveCommand:
         cfg = _write_config(tmp_path, dict(CURVE_CFG, alpha=5.0))
         assert cli.main(["curve", "--config", cfg]) == cli.EXIT_ARGUMENT
         err = capsys.readouterr().err
-        assert "code matrix is all zero: alpha=5.0" in err
-        assert "largest pairwise similarity 1" in err
+        assert "every code is zero: alpha=5.0 is not below the largest similarity bound 1" in err
 
     def test_config_errors_caught_with_diagnostics_off(self, tmp_path, capsys):
         # n_train is above nystrom_limit, so no full code matrix or spectrum is built
@@ -123,7 +122,7 @@ class TestCurveCommand:
         assert "energy must be in (0, 1], got 1.5" in capsys.readouterr().err
         cfg = _write_config(tmp_path, dict(payload, energy=0.95))
         assert cli.main(["curve", "--config", cfg]) == cli.EXIT_ARGUMENT
-        assert "code matrix is all zero: alpha=5.0" in capsys.readouterr().err
+        assert "every code is zero: alpha=5.0" in capsys.readouterr().err
 
 
 class TestPdlCommand:
@@ -379,6 +378,19 @@ class TestEncodeCommand:
             == cli.EXIT_FORMAT
         )
 
+    @pytest.mark.parametrize("command", ["encode", "curve"])
+    def test_non_utf8_file_exits_3_naming_it(self, tmp_path, monkeypatch, capsys, command):
+        # a decode error used to exit 2 naming neither the file nor a format error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_bytes(b"1,2,0\n3,4,\xff\n")
+        cfg = _write_config(tmp_path, {"c_grid": [1, 2, 3], "seeds": [0], "dataset": "csv",
+                                       "path": "bad.csv"})
+        argv = {"encode": ["encode", "--data", "bad.csv", "--labels", "--c", "1"],
+                "curve": ["curve", "--config", cfg]}[command]
+        assert cli.main(argv + ["--out", "out.csv"]) == cli.EXIT_FORMAT
+        assert "error: bad.csv: not UTF-8 text: " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert (
             cli.main(["encode", "--data", str(tmp_path / "nope.csv"), "--c", "1"])
@@ -479,21 +491,29 @@ class TestExitCodes:
         assert out.startswith("k,c,seed,")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["curve", "--config", {"c_grid": [4, 8, 16], "seeds": [0], "n_samples": 100,
-                                   "noise": -1.0}],
-            ["pdl", "--config", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
-                                 "noise": -1.0}],
-            ["synth", "--noise", "-1", "--out", "x.csv"],
+            (["curve", "--config", {"c_grid": [4, 8, 16], "seeds": [0], "n_samples": 100,
+                                    "noise": -1.0}], "noise must be >= 0, got -1.0"),
+            (["pdl", "--config", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
+                                  "noise": -1.0}], "noise must be >= 0, got -1.0"),
+            (["synth", "--noise", "-1"], "noise must be >= 0, got -1.0"),
+            # these used to exit 2 naming only NaN or Inf in the matrix, or warn in the matmul
+            (["synth", "--noise", "nan"], "noise must be finite, got nan"),
+            (["synth", "--noise", "inf"], "noise must be finite, got inf"),
+            (["synth", "--within", "nan"], "within must be finite, got nan"),
+            (["synth", "--class-sep", "inf"], "class_sep must be finite, got inf"),
         ],
-        ids=["curve", "pdl", "synth"],
+        ids=["curve", "pdl", "synth", "synth-noise-nan", "synth-noise-inf", "synth-within-nan",
+             "synth-class_sep-inf"],
     )
-    def test_negative_noise_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+    def test_negative_noise_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+        if argv[0] == "synth":
+            argv += ["--out", "x.csv"]
         assert cli.main(argv) == cli.EXIT_ARGUMENT
-        assert "noise must be >= 0, got -1.0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
@@ -543,7 +563,7 @@ class TestExitCodes:
              "need classes >= 2, images_per_class >= 1, prototypes_per_class >= 1"),
             # unit-norm atoms: no code exceeds the largest unit_l2 patch norm, 1
             ("pdl", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0, 1], "alpha": 1.5},
-             "every code is zero: alpha=1.5 is not below the largest training patch norm 1"),
+             "every code is zero: alpha=1.5 is not below the largest similarity bound 1"),
         ],
         ids=["curve-grid-oversized", "pdl-patch-grid", "curve-classes", "curve-modes",
              "pdl-prototypes", "pdl-alpha"],

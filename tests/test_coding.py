@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nyscode import coding
-from nyscode.coding import CodeMatrix, Dictionary, encode, full_code
+from nyscode.coding import CodeMatrix, Dictionary, check_alpha, encode, full_code
 from nyscode.data import DataMatrix
 from nyscode.nystrom import code_kernel
 
@@ -47,6 +48,34 @@ class TestCodeMatrix:
 
     def test_empty_accepted(self):
         assert CodeMatrix(np.zeros((0, 3))).c == 3
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 2)])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="code matrix must be 2-D"):
+            CodeMatrix(np.ones(shape))
+
+
+class TestCheckAlpha:
+    # column norms 2 and 1: no <x, x'> exceeds 4, and no <x, a> with |a| <= 1 exceeds 2
+    X = DataMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("alpha, atom_norm, bound", [
+        (4.0, None, 4), (2.0, 1.0, 2), (1.0, 0.5, 1), (1e300, None, 4),
+    ])
+    def test_alpha_at_or_above_the_bound_rejected(self, alpha, atom_norm, bound):
+        with pytest.raises(ValueError, match=re.escape(
+                f"every code is zero: alpha={alpha} is not below the largest similarity "
+                f"bound {bound}")):
+            check_alpha(self.X, alpha, atom_norm)
+
+    @pytest.mark.parametrize("alpha, atom_norm", [(3.99, None), (1.99, 1.0), (-5.0, 0.0)])
+    def test_alpha_below_the_bound_accepted(self, alpha, atom_norm):
+        check_alpha(self.X, alpha, atom_norm)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_named(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            check_alpha(self.X, alpha)
 
 
 class TestEncode:

@@ -8,6 +8,7 @@ from nyscode.data import (
     DataMatrix,
     FormatError,
     LabeledDataset,
+    PatchGrid,
     csv_text,
     extract_patches_stack,
     load_csv,
@@ -28,9 +29,34 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             DataMatrix(np.ones(3))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no-rows", "no-columns"])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"at least 1x1, got {shape}")):
+            DataMatrix(np.ones(shape))
+
     def test_shape_properties(self):
         m = DataMatrix(np.ones((3, 5)))
         assert (m.d, m.N) == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "labels, n_classes, message",
+    [
+        (np.zeros(2, dtype=int), 2, "labels must have shape (3,), got (2,)"),
+        (np.zeros(3, dtype=int), 0, "n_classes must be >= 1"),
+        (np.array([0, 2, 1]), 2, "labels must lie in [0, n_classes)"),
+        (np.array([0, -1, 1]), 2, "labels must lie in [0, n_classes)"),
+    ],
+    ids=["wrong-shape", "no-classes", "label-too-large", "label-negative"],
+)
+def test_labeled_dataset_rejects_bad_labels(labels, n_classes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LabeledDataset(DataMatrix(np.ones((2, 3))), labels, n_classes)
+
+
+def test_patch_grid_rejects_wrong_patch_count():
+    with pytest.raises(ValueError, match=re.escape("patch count 5 != images*grid (2x1x2=4)")):
+        PatchGrid(DataMatrix(np.ones((4, 5))), grid_rows=1, grid_cols=2, images=2)
 
 
 class TestSynthManifold:
@@ -62,6 +88,8 @@ class TestSynthManifold:
     def test_invalid_dims(self, d, k, N):
         with pytest.raises(ValueError):
             synth_manifold(d, k, N, 0.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"need 1 <= k <= min(d, N), got d={d}")):
+            synth_labeled_manifold(d, k, N, 2, 0.0, seed=0)
 
 
 class TestSynthLabeledManifold:
@@ -132,6 +160,10 @@ class TestExtractPatches:
     def test_patch_too_large(self):
         with pytest.raises(ValueError):
             extract_patches_stack(np.ones((1, 3, 3)), patch=4, stride=1)
+
+    def test_stride_below_1(self):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            extract_patches_stack(np.ones((1, 3, 3)), patch=2, stride=0)
 
     def test_stack_orders_images_consecutively(self):
         imgs = np.random.default_rng(1).standard_normal((3, 4, 4))
@@ -291,6 +323,18 @@ class TestLoadCsv:
         p = tmp_path / "e2.csv"
         p.write_text("1,2,3\n1,x,y\n")
         with pytest.raises(FormatError, match="line 2: non-numeric field 'x'$"):
+            load_csv(p, has_labels=False)
+
+    def test_labeled_row_without_a_feature(self, tmp_path):
+        p = tmp_path / "one_field.csv"
+        p.write_text("0\n1\n")
+        with pytest.raises(FormatError, match="line 1: need at least one feature and a label"):
+            load_csv(p, has_labels=True)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"1,2\n3,\xe94\n")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: not UTF-8 text: ")):
             load_csv(p, has_labels=False)
 
     def test_non_integer_label(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,15 @@ class TestKCenters:
     def test_c_exceeds_rows(self):
         with pytest.raises(ValueError):
             kcenters(np.ones((3, 1)), 4, seed=0)
+
+    @pytest.mark.parametrize("F, first, message", [
+        (np.ones(3), None, "F must be a 2-D matrix with one row per item"),
+        (np.ones((3, 1)), 3, "first pick 3 out of range 0..2"),
+        (np.ones((3, 1)), -1, "first pick -1 out of range 0..2"),
+    ], ids=["1-D", "first-past-end", "first-negative"])
+    def test_bad_input_named(self, F, first, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kcenters(F, 1, seed=0, first=first)
 
 
 # Plain K-means with unit-norm atoms: a boolean mask per centroid, two full

@@ -700,3 +700,7 @@ class TestEmit:
         rep = run_nystrom_eval(NystromEvalConfig(**SMALL_NYSTROM))
         with pytest.raises(ValueError):
             emit(rep, tmp_path / "x.yaml", "yaml")
+
+    def test_unknown_kind_has_no_table(self):
+        with pytest.raises(ValueError, match="unknown report kind 'sweep'"):
+            report_csv(ExperimentReport(kind="sweep", config={}))

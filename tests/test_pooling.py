@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from nyscode import pooling
 from nyscode.coding import CodeMatrix, encode
 from nyscode.data import DataMatrix, PatchGrid
 from nyscode.dictionary import kmeans
-from nyscode.pooling import pdl, pool
+from nyscode.pooling import check_regions, pdl, pool
 
 
 def _codes(values):
@@ -82,6 +84,11 @@ class TestPool:
         with pytest.raises(ValueError):
             pool(_codes(np.ones((4, 2))), grid=(2, 2), regions=(1, 1), op="median")
 
+    @pytest.mark.parametrize("grid", [(0, 2), (2, 0)])
+    def test_non_positive_patch_grid(self, grid):
+        with pytest.raises(ValueError, match=re.escape(f"patch grid must be positive, got {grid}")):
+            check_regions(grid, (1, 1))
+
 
 def _texture_patch_grid(seed, images=24, gr=2, gc=2, dim=8):
     # patches drawn from a few prototype directions, one image = gr*gc patches
@@ -139,6 +146,11 @@ class TestPdl:
         grid = _texture_patch_grid(4)
         with pytest.raises(ValueError):
             pdl(grid, final_c=4, overshoot=0, alpha=0.25, seed=0)
+
+    def test_invalid_final_c(self):
+        grid = _texture_patch_grid(4)
+        with pytest.raises(ValueError, match="final_c must be >= 1, got 0"):
+            pdl(grid, final_c=0, overshoot=2, alpha=0.25, seed=0)
 
     def test_atom_profiles_hold_each_atoms_pooled_responses(self, monkeypatch):
         # K-centers sees one row per atom: its pooled response at (image, region)
