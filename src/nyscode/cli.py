@@ -47,11 +47,6 @@ _CONFIG_COMMANDS = {
 }
 
 
-def _common_flags(p: argparse.ArgumentParser, seed_help: str) -> None:
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
-    p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nyscode",
@@ -60,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset as CSV")
-    _common_flags(p_synth, "data seed")
+    p_synth.add_argument("--seed", type=int, default=0, help="data seed")
+    # not required=True: _cmd_synth rejects a missing --out with a message naming the file type
+    p_synth.add_argument("--out", type=str, default=None, help="output CSV path (required)")
     p_synth.add_argument("--d", type=int, default=32)
     p_synth.add_argument("--k", type=int, default=4)
     p_synth.add_argument("--n", type=int, default=800)
@@ -77,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     p_enc = sub.add_parser("encode", help="encode a CSV dataset against a sampled dictionary")
-    _common_flags(p_enc, "dictionary sampling seed")
+    p_enc.add_argument("--seed", type=int, default=0, help="dictionary sampling seed")
+    p_enc.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     p_enc.add_argument("--data", type=str, required=True, help="input CSV, one sample per row")
     p_enc.add_argument("--labels", action="store_true", help="last CSV field is a label")
     p_enc.add_argument("--header", action="store_true", help="skip one header line")
@@ -92,7 +90,9 @@ def _load_config(args):
     if args.config is None:
         raise ValueError("this subcommand requires --config <file.json>")
     try:
-        return json.loads(Path(args.config).read_text())
+        return json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"config {args.config} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ValueError(f"config {args.config} is not valid JSON: {e}") from e
 

@@ -77,15 +77,12 @@ class PatchGrid:
     patches: DataMatrix
     grid_rows: int
     grid_cols: int
-    images: int
 
     def __post_init__(self):
-        expected = self.images * self.grid_rows * self.grid_cols
-        if self.patches.N != expected:
-            raise ValueError(
-                f"patch count {self.patches.N} != images*grid "
-                f"({self.images}x{self.grid_rows}x{self.grid_cols}={expected})"
-            )
+        rows, cols = self.grid_rows, self.grid_cols
+        # the sides first: a zero side would divide by zero
+        if rows < 1 or cols < 1 or self.patches.N % (rows * cols) != 0:
+            raise ValueError(f"{self.patches.N} patches do not fill whole {rows}x{cols} grids")
 
 
 def _check_finite(**params: float) -> None:
@@ -195,31 +192,27 @@ def synth_texture_images(
 
 
 def extract_patches_stack(images: np.ndarray, patch: int, stride: int) -> PatchGrid:
-    """Cut a stack of images shaped (n, h, w[, channels]) into flattened square patches.
+    """Cut a stack of grayscale images shaped (n, h, w) into flattened square patches.
 
     Patches start at the offsets {0, stride, 2*stride, ...} that fit inside an image and are
-    flattened row-major, channel index fastest; a single image is the stack ``image[None]``.
+    flattened row-major; a single image is the stack ``image[None]``.
     """
     images = np.asarray(images, dtype=float)
-    if images.ndim not in (3, 4):
-        raise ValueError(f"image stack must be 3-D or 4-D, got ndim={images.ndim}")
-    if images.ndim == 3:
-        images = images[..., None]
-    n, h, w, ch = images.shape
+    if images.ndim != 3:
+        raise ValueError(f"image stack must be 3-D, got ndim={images.ndim}")
+    n, h, w = images.shape
     if patch < 1 or patch > min(h, w):
         raise ValueError(f"patch size {patch} does not fit a {h}x{w} image")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    # (n, rows, cols, ch, patch, patch) view of every patch at the kept offsets
+    # (n, rows, cols, patch, patch) view of every patch at the kept offsets
     windows = sliding_window_view(images, (patch, patch), axis=(1, 2))[:, ::stride, ::stride]
     _, grid_rows, grid_cols = windows.shape[:3]
-    # rows: patch row, patch col, channel; columns: image, grid row, grid col.
+    # rows: patch row, patch col; columns: image, grid row, grid col.
     # Copy into a fresh C-ordered matrix: a reshape may return a view of the images.
-    cols = np.empty((patch * patch * ch, n * grid_rows * grid_cols))
-    cols.reshape(patch, patch, ch, n, grid_rows, grid_cols)[...] = windows.transpose(
-        4, 5, 3, 0, 1, 2
-    )
-    return PatchGrid(DataMatrix(cols), grid_rows, grid_cols, images=n)
+    cols = np.empty((patch * patch, n * grid_rows * grid_cols))
+    cols.reshape(patch, patch, n, grid_rows, grid_cols)[...] = windows.transpose(3, 4, 0, 1, 2)
+    return PatchGrid(DataMatrix(cols), grid_rows, grid_cols)
 
 
 NormalizeMode = Literal["mean_center", "unit_l2", "both"]
@@ -269,35 +262,32 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text: {e}") from None
-    lines = text.split("\n")
+    lines = text.split("\n")[header:]
     while lines and lines[-1] == "":
         lines.pop()
-    start = 1 if header else 0
+    if not lines:
+        raise FormatError(f"{path}: empty file")
+    n_fields = len(lines[0].split(","))
+    if has_labels and n_fields < 2:
+        raise FormatError(f"{path}: line {header + 1}: need at least one feature and a label")
     rows = []
     raw_labels = []
-    n_fields = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(lines, start=header + 1):
         fields = line.split(",")
-        if n_fields is None:
-            n_fields = len(fields)
-            if has_labels and n_fields < 2:
-                raise FormatError(f"{path}: line {lineno}: need at least one feature and a label")
-        elif len(fields) != n_fields:
+        if len(fields) != n_fields:
             raise FormatError(
                 f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}"
             )
         if has_labels:
-            feature_fields, label_field = fields[:-1], fields[-1]
+            label_field = fields.pop()
             try:
                 raw_labels.append(int(label_field))
             except ValueError:
                 raise FormatError(
                     f"{path}: line {lineno}: label {label_field!r} is not an integer"
                 ) from None
-        else:
-            feature_fields = fields
         row = []
-        for f in feature_fields:
+        for f in fields:
             try:
                 row.append(float(f))
             except ValueError:
@@ -305,8 +295,6 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
         if not all(np.isfinite(row)):
             raise FormatError(f"{path}: line {lineno}: non-finite value")
         rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: empty file")
 
     values = np.array(rows, dtype=float).T
     if has_labels:

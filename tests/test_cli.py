@@ -51,6 +51,14 @@ class TestSynthCommand:
         monkeypatch.setattr(cli, "synth_labeled_manifold", unexpected)
         assert cli.main(["synth", "--n", "20"]) == cli.EXIT_ARGUMENT
 
+    def test_help_says_out_is_required(self, capsys):
+        # synth shares --out with encode, whose --out defaults to stdout
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["synth", "--help"])
+        help_text = capsys.readouterr().out
+        assert "output CSV path (required)" in help_text
+        assert "stdout" not in help_text
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -106,6 +114,15 @@ class TestCurveCommand:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert cli.main(["curve", "--config", str(p)]) == cli.EXIT_ARGUMENT
+
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        # the message names the config file, not only the codec's error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_bytes(b'{"c_grid": [4], "seeds": [0], "lam": "\xff"}')
+        argv = ["curve", "--config", "bad.json", "--out", "out.csv"]
+        assert cli.main(argv) == cli.EXIT_ARGUMENT
+        assert capsys.readouterr().err.startswith("error: config bad.json is not UTF-8 text: ")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_all_zero_code_matrix_names_alpha(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, dict(CURVE_CFG, alpha=5.0))

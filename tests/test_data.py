@@ -55,8 +55,15 @@ def test_labeled_dataset_rejects_bad_labels(labels, n_classes, message):
 
 
 def test_patch_grid_rejects_wrong_patch_count():
-    with pytest.raises(ValueError, match=re.escape("patch count 5 != images*grid (2x1x2=4)")):
-        PatchGrid(DataMatrix(np.ones((4, 5))), grid_rows=1, grid_cols=2, images=2)
+    with pytest.raises(ValueError, match=re.escape("5 patches do not fill whole 1x2 grids")):
+        PatchGrid(DataMatrix(np.ones((4, 5))), grid_rows=1, grid_cols=2)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 2), (2, 0)])
+def test_patch_grid_rejects_zero_side(rows, cols):
+    # checked before the patch count is divided by the grid size
+    with pytest.raises(ValueError, match=re.escape(f"4 patches do not fill whole {rows}x{cols}")):
+        PatchGrid(DataMatrix(np.ones((4, 4))), grid_rows=rows, grid_cols=cols)
 
 
 class TestSynthManifold:
@@ -141,15 +148,6 @@ class TestExtractPatches:
         col = 1 * g.grid_cols + 2
         assert np.array_equal(g.patches.values[:, col], img[1:3, 2:4].reshape(-1))
 
-    def test_channel_fastest_flattening(self):
-        img = np.zeros((2, 2, 3))
-        img[0, 0] = [1, 2, 3]
-        img[0, 1] = [4, 5, 6]
-        img[1, 0] = [7, 8, 9]
-        img[1, 1] = [10, 11, 12]
-        g = extract_patches_stack(img[None], patch=2, stride=1)
-        assert np.array_equal(g.patches.values[:, 0], np.arange(1.0, 13.0))
-
     @pytest.mark.parametrize("h,w,patch,stride", [(7, 9, 3, 2), (6, 6, 2, 3), (5, 8, 4, 1)])
     def test_patch_count_formula(self, h, w, patch, stride):
         img = np.random.default_rng(0).standard_normal((h, w))
@@ -168,17 +166,16 @@ class TestExtractPatches:
     def test_stack_orders_images_consecutively(self):
         imgs = np.random.default_rng(1).standard_normal((3, 4, 4))
         g = extract_patches_stack(imgs, patch=2, stride=2)
-        assert g.images == 3
+        assert g.patches.N == 3 * g.grid_rows * g.grid_cols
         assert g.patches.N == 12
         single = extract_patches_stack(imgs[2:3], patch=2, stride=2)
         assert np.array_equal(g.patches.values[:, 8:12], single.patches.values)
 
 
 def _patch_oracle(image, patch, stride):
-    img = image[:, :, None] if image.ndim == 2 else image
-    h, w, _ = img.shape
+    h, w = image.shape
     cols = [
-        img[r : r + patch, c : c + patch, :].reshape(-1)
+        image[r : r + patch, c : c + patch].reshape(-1)
         for r in range(0, h - patch + 1, stride)
         for c in range(0, w - patch + 1, stride)
     ]
@@ -187,7 +184,7 @@ def _patch_oracle(image, patch, stride):
 
 class TestPatchesMatchLoopOracle:
     # (shape, patch, stride); 11 - 3 = 8 and 9 - 4 = 5 are not multiples of 3
-    CASES = [((11, 9), 3, 3), ((11, 9, 3), 4, 3), ((8, 8), 4, 4), ((7, 5, 2), 1, 2)]
+    CASES = [((11, 9), 3, 3), ((11, 9), 4, 3), ((8, 8), 4, 4), ((7, 5), 1, 2)]
 
     @pytest.mark.parametrize("shape,patch,stride", CASES)
     def test_single_image(self, shape, patch, stride):
@@ -208,11 +205,13 @@ class TestPatchesMatchLoopOracle:
         assert g.patches.values.tobytes() == expected.tobytes()
         assert g.patches.values.shape == expected.shape
         assert g.patches.values.flags.c_contiguous
-        assert g.images == 3
+        assert g.patches.N == 3 * g.grid_rows * g.grid_cols
 
-    @pytest.mark.parametrize("ndim", [1, 4])
+    # a 2-D image, a 4-D (channels) stack and a 5-D array
+    @pytest.mark.parametrize("ndim", [1, 3, 4])
     def test_wrong_ndim(self, ndim):
-        with pytest.raises(ValueError, match="3-D or 4-D"):
+        message = f"image stack must be 3-D, got ndim={ndim + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             extract_patches_stack(np.ones((4,) * (ndim + 1)), patch=2, stride=1)
 
 
@@ -312,6 +311,16 @@ class TestLoadCsv:
         p.write_text("1,2,0\n3,4\n")
         with pytest.raises(FormatError, match="line 2"):
             load_csv(p, has_labels=True)
+
+    @pytest.mark.parametrize("text,message", [
+        ("f1,f2\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
+        ("f1,f2\n1,2\nx,4\n", "line 3: non-numeric field 'x'"),
+    ])
+    def test_header_counts_in_line_numbers(self, tmp_path, text, message):
+        p = tmp_path / "h2.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+            load_csv(p, has_labels=False, header=True)
 
     def test_non_numeric_names_line(self, tmp_path):
         p = tmp_path / "e.csv"

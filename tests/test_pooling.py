@@ -99,7 +99,7 @@ def _texture_patch_grid(seed, images=24, gr=2, gc=2, dim=8):
         p = protos[rng.integers(6)] + 0.05 * rng.standard_normal(dim)
         cols.append(p / np.linalg.norm(p))
     patches = DataMatrix(np.array(cols).T)
-    return PatchGrid(patches, gr, gc, images)
+    return PatchGrid(patches, gr, gc)
 
 
 class TestPdl:
