@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import DEFAULT_ALPHA, Dictionary, check_alpha, encode
-from .data import FormatError, csv_text, load_csv, save_csv, synth_labeled_manifold
+from .data import FormatError, csv_text, load_csv, save_csv, synth_labeled_manifold, write_text
 from .dictionary import sample_indices
 from .harness import (
     CurveConfig,
@@ -27,7 +27,6 @@ from .harness import (
     run_curve,
     run_nystrom_eval,
     run_pdl_compare,
-    write_text,
 )
 
 EXIT_OK = 0
@@ -54,9 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset as CSV")
+    # --out is not required=True, so that _cmd_synth names the file type when it is missing;
+    # the usage line shows it as required all the same
+    p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset as CSV",
+                             usage="%(prog)s --out OUT [options]")
+    p_synth.set_defaults(run=_cmd_synth)
     p_synth.add_argument("--seed", type=int, default=0, help="data seed")
-    # not required=True: _cmd_synth rejects a missing --out with a message naming the file type
     p_synth.add_argument("--out", type=str, default=None, help="output CSV path (required)")
     p_synth.add_argument("--d", type=int, default=32)
     p_synth.add_argument("--k", type=int, default=4)
@@ -69,11 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (help_text, _, _) in _CONFIG_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_cmd_config)
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     p_enc = sub.add_parser("encode", help="encode a CSV dataset against a sampled dictionary")
+    p_enc.set_defaults(run=_cmd_encode)
     p_enc.add_argument("--seed", type=int, default=0, help="dictionary sampling seed")
     p_enc.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     p_enc.add_argument("--data", type=str, required=True, help="input CSV, one sample per row")
@@ -128,18 +132,11 @@ def _cmd_encode(args) -> None:
     write_text(csv_text(codes.values.tolist()), args.out)
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    **dict.fromkeys(_CONFIG_COMMANDS, _cmd_config),
-    "encode": _cmd_encode,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import DataMatrix, check_finite
 
 # sensible threshold for unit-norm columns; every config exposes its own alpha
 DEFAULT_ALPHA = 0.25
@@ -107,8 +107,7 @@ def check_alpha(X: DataMatrix, alpha: float, atom_norm: float | None = None) -> 
     largest atom norm. That is ``atom_norm``; None means the atoms are columns of
     X, so the bound is the largest squared column norm. No code is computed.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    check_finite(alpha=alpha)
     top = np.max(np.einsum("ij,ij->j", X.values, X.values))
     top = float(top if atom_norm is None else np.sqrt(top) * atom_norm)
     if not alpha < top:
@@ -127,8 +126,7 @@ def encode(
     """
     if X.d != D.d:
         raise ValueError(f"feature dim mismatch: data has d={X.d}, dictionary d={D.d}")
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    check_finite(alpha=alpha)
     if out is not None and (out.shape, out.dtype) != ((X.N, D.c), np.float64):
         raise ValueError(f"out must be a {X.N} x {D.c} float64 array, got {out.shape} {out.dtype}")
     G = np.matmul(X.values.T, D.atoms, out=out)

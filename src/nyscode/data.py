@@ -1,14 +1,16 @@
 """Dataset construction: synthetic generators, patch extraction, normalization, the CSV
-loader, and the one CSV renderer of the program's tables.
+loader, the one CSV renderer of the program's tables, and the one text writer.
 
 All data lives in column-per-sample orientation: a matrix has shape (d, N)
 with one sample per column. ``load_csv`` transposes its row-per-sample UTF-8 file on
 read. Both manifold generators sample through ``_sample_manifold``, which checks the
-sizes and the noise and embeds the caller's latent draw.
+sizes and the noise, embeds the caller's latent draw, and names every scale when the
+samples overflow the float range.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal, get_args
@@ -85,30 +87,43 @@ class PatchGrid:
             raise ValueError(f"{self.patches.N} patches do not fill whole {rows}x{cols} grids")
 
 
-def _check_finite(**params: float) -> None:
+def check_finite(**params: float) -> None:
+    """Reject the first named value that is NaN or infinite, naming it."""
     for name, value in params.items():
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_noise(noise: float) -> None:
-    _check_finite(noise=noise)
+    check_finite(noise=noise)
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
 
 
+def _overflow(**scales: float) -> ValueError:
+    named = ", ".join(f"{name}={value}" for name, value in scales.items())
+    return ValueError(f"the synthetic samples overflow the float range at {named}")
+
+
 def _sample_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int,
-                     draw_latent: Callable[[np.random.Generator], np.ndarray]) -> DataMatrix:
+                     draw_latent: Callable[[np.random.Generator], np.ndarray],
+                     **latent_scales: float) -> DataMatrix:
     """B @ draw_latent(rng) + noise_sigma * Z, B (d x k) orthonormal and Z (d x N) standard
-    normal; B, the k x N latent and Z are drawn in that order from ``seed``'s generator."""
+    normal; B, the k x N latent and Z are drawn in that order from ``seed``'s generator.
+    Samples that overflow raise ``_overflow`` of the noise and the ``latent_scales``."""
     if not (1 <= k <= min(d, N)):
         raise ValueError(f"need 1 <= k <= min(d, N), got d={d}, k={k}, N={N}")
     _check_noise(noise_sigma)
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    latent = draw_latent(rng)
-    noise = rng.standard_normal((d, N))
-    return DataMatrix(basis @ latent + noise_sigma * noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        latent = draw_latent(rng)
+        noise = rng.standard_normal((d, N))
+        values = basis @ latent + noise_sigma * noise
+    try:
+        return DataMatrix(values)  # its one finiteness pass is the overflow check
+    except ValueError:
+        raise _overflow(noise=noise_sigma, **latent_scales) from None
 
 
 def synth_manifold(d: int, k: int, N: int, noise_sigma: float, seed: int) -> DataMatrix:
@@ -145,7 +160,7 @@ def synth_labeled_manifold(
         raise ValueError("classes must be >= 2")
     if modes_per_class < 1:
         raise ValueError("modes_per_class must be >= 1")
-    _check_finite(class_sep=class_sep, within=within)
+    check_finite(class_sep=class_sep, within=within)
     labels = np.arange(N) % classes
 
     def draw(rng: np.random.Generator) -> np.ndarray:
@@ -155,7 +170,8 @@ def synth_labeled_manifold(
         modes = rng.integers(modes_per_class, size=N)
         return centers[labels, modes, :].T + within * rng.standard_normal((k, N))
 
-    return LabeledDataset(_sample_manifold(d, k, N, noise_sigma, seed, draw), labels, classes)
+    X = _sample_manifold(d, k, N, noise_sigma, seed, draw, class_sep=class_sep, within=within)
+    return LabeledDataset(X, labels, classes)
 
 
 def synth_texture_images(
@@ -187,7 +203,10 @@ def synth_texture_images(
     picks = rng.integers(prototypes_per_class, size=(n, slots, slots))
     tiles = protos[labels[:, None, None], picks]  # (n, slots, slots, cell, cell)
     images = tiles.transpose(0, 1, 3, 2, 4).reshape(n, size, size)
-    images += noise * rng.standard_normal(images.shape)
+    with np.errstate(over="ignore"):  # the prototypes are finite, so no NaN can arise
+        images += noise * rng.standard_normal(images.shape)
+    if not np.all(np.isfinite(images)):
+        raise _overflow(noise=noise)
     return images, labels
 
 
@@ -304,12 +323,20 @@ def load_csv(path, has_labels: bool, header: bool = False) -> LabeledDataset:
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
-    """Write a dataset as one sample per row in ``csv_text`` format, then the label
-    when the dataset has more than one class."""
+    """Write a dataset through ``write_text`` as one sample per row in ``csv_text`` format,
+    then the label when the dataset has more than one class."""
     rows = dataset.data.values.T.tolist()
     if dataset.n_classes > 1:
         rows = [row + [label] for row, label in zip(rows, dataset.labels.tolist())]
-    Path(path).write_text(csv_text(rows))
+    write_text(csv_text(rows), path)
+
+
+def write_text(text: str, path) -> None:
+    """Write ``text`` to the file at ``path``, or to standard output when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def csv_text(rows) -> str:

@@ -11,12 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .data import (
     synth_labeled_manifold,
     synth_manifold,
     synth_texture_images,
+    write_text,
 )
 from .dictionary import kmeans, sample_indices
 from .nystrom import approximation_errors, code_kernel, decompose
@@ -601,11 +600,3 @@ def emit(report: ExperimentReport, path, fmt: str = "json") -> None:
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     write_text(text, path)
-
-
-def write_text(text: str, path) -> None:
-    """Write ``text`` to the file at ``path``, or to standard output when it is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ def _write_config(tmp_path, payload, name="cfg.json"):
     p.write_text(json.dumps(payload))
     return str(p)
 
+
+OVERFLOW = "error: the synthetic samples overflow the float range at"
 
 CURVE_CFG = {
     "c_grid": [4, 8, 16],
@@ -58,6 +61,13 @@ class TestSynthCommand:
         help_text = capsys.readouterr().out
         assert "output CSV path (required)" in help_text
         assert "stdout" not in help_text
+
+    def test_usage_shows_out_as_required(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["synth", "--help"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.startswith("usage: nyscode synth --out OUT ")
+        assert "[--out OUT]" not in usage
 
     @pytest.mark.parametrize(
         "argv",
@@ -470,7 +480,7 @@ class TestExitCodes:
         def boom(args):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setitem(cli._COMMANDS, "curve", boom)
+        monkeypatch.setattr(cli, "_cmd_config", boom)
         assert cli.main(["curve"]) == cli.EXIT_NUMERICAL
 
     def test_out_of_memory_exits_2_naming_the_size(self, tmp_path, monkeypatch, capsys):
@@ -494,7 +504,7 @@ class TestExitCodes:
         def boom(args):
             raise exc("x")
 
-        monkeypatch.setitem(cli._COMMANDS, "curve", boom)
+        monkeypatch.setattr(cli, "_cmd_config", boom)
         with pytest.raises(exc):
             cli.main(["curve"])
 
@@ -520,16 +530,26 @@ class TestExitCodes:
             (["synth", "--noise", "inf"], "noise must be finite, got inf"),
             (["synth", "--within", "nan"], "within must be finite, got nan"),
             (["synth", "--class-sep", "inf"], "class_sep must be finite, got inf"),
+            # these used to warn in the multiply, then name only NaN or Inf in the matrix
+            (["synth", "--noise", "1e308"], f"{OVERFLOW} noise=1e+308, class_sep=2.0, within=0.6"),
+            (["synth", "--within", "1e308"], f"{OVERFLOW} noise=0.1, class_sep=2.0, within=1e+308"),
+            (["curve", "--config", dict(CURVE_CFG, noise=1e308)],
+             f"{OVERFLOW} noise=1e+308, class_sep=1.6, within=0.9"),
+            (["pdl", "--config", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
+                                  "noise": 1e308}], f"{OVERFLOW} noise=1e+308\n"),
+            (["nystrom-eval", "--config", {"c_grid": [4], "seeds": [0], "noise": 1e308}],
+             f"{OVERFLOW} noise=1e+308\n"),
         ],
         ids=["curve", "pdl", "synth", "synth-noise-nan", "synth-noise-inf", "synth-within-nan",
-             "synth-class_sep-inf"],
+             "synth-class_sep-inf", "synth-noise-overflow", "synth-within-overflow",
+             "curve-overflow", "pdl-overflow", "nystrom-eval-overflow"],
     )
     def test_negative_noise_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
-        if argv[0] == "synth":
-            argv += ["--out", "x.csv"]
-        assert cli.main(argv) == cli.EXIT_ARGUMENT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + ["--out", "x.csv"]) == cli.EXIT_ARGUMENT
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 

@@ -128,6 +128,26 @@ def test_negative_noise_rejected(generate):
         generate(-1.0)
 
 
+@pytest.mark.parametrize(
+    "generate, scales",
+    [
+        (lambda: synth_manifold(6, 2, 20, 1e308, seed=0), "noise=1e+308"),
+        (lambda: synth_labeled_manifold(6, 2, 20, 2, 0.1, seed=0, within=1e308),
+         "noise=0.1, class_sep=2.0, within=1e+308"),
+        (lambda: synth_texture_images(2, 2, 8, 4, 2, 1e308, seed=0), "noise=1e+308"),
+    ],
+    ids=["synth_manifold", "synth_labeled_manifold", "synth_texture_images"],
+)
+def test_overflowing_scale_named(generate, scales):
+    # finite scales whose samples overflow used to warn in the multiply, then fail naming
+    # only NaN or Inf in the matrix (or, for the images, later in patch extraction)
+    message = f"the synthetic samples overflow the float range at {scales}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate()
+
+
 class TestExtractPatches:
     def test_exact_tiling(self):
         img = np.arange(16.0).reshape(4, 4)
