@@ -4,7 +4,7 @@ Subcommands: ``synth`` (write a synthetic labeled dataset), ``curve``
 (accuracy-vs-codebook-size sweep), ``pdl`` (overshoot-and-prune comparison),
 ``nystrom-eval`` (bound coverage), ``encode`` (encode a CSV dataset against a
 sampled dictionary). Exit codes: 0 success, 2 argument/config error (out of
-memory included), 3 data format error, 4 numerical failure.
+memory included), 3 data format error, 4 a numpy.linalg (LAPACK) call failed.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     # LinAlgError subclasses ValueError, so it must be handled first
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as e:
+    except np.linalg.LinAlgError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:  # OverflowError: an int numpy cannot hold
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARGUMENT
     except MemoryError as e:  # sizes this machine cannot hold; numpy's message names them

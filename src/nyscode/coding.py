@@ -121,25 +121,26 @@ def encode(
     """Encode every column of X: entry (i, j) = max(0, <x_i, d_j> - alpha).
 
     ``out``, an N x c float64 array, receives the codes and becomes ``values``.
-    The codes are checked for NaN and Inf while each row block is thresholded,
-    so the returned CodeMatrix is built without a second read of them.
+    X, D and alpha are finite, so a NaN or Inf code is an overflow, named ("the codes
+    overflow the float range", no numpy warning) by the check of its thresholded row
+    block; the CodeMatrix is built with no second read of the codes.
     """
     if X.d != D.d:
         raise ValueError(f"feature dim mismatch: data has d={X.d}, dictionary d={D.d}")
     check_finite(alpha=alpha)
     if out is not None and (out.shape, out.dtype) != ((X.N, D.c), np.float64):
         raise ValueError(f"out must be a {X.N} x {D.c} float64 array, got {out.shape} {out.dtype}")
-    G = np.matmul(X.values.T, D.atoms, out=out)
-    # in place, a cached row block at a time, with the dtype and bits of np.maximum(0.0, G - alpha);
-    # a thresholded block holds only entries >= 0 or NaN, and NaN propagates through max while
-    # +inf is the max, so one max per block stands in for CodeMatrix's min/max check
-    G = G.astype(np.result_type(G, alpha), copy=False)
-    for start in range(0, len(G), rows := max(1, _BLOCK_BYTES // G[0].nbytes)):
-        block = G[start : start + rows]
-        block -= alpha
-        np.maximum(0.0, block, out=block)
-        if not np.isfinite(block.max()):
-            raise ValueError("code matrix contains NaN or Inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.matmul(X.values.T, D.atoms, out=out)
+        # np.maximum(0.0, G - alpha) in place, its dtype and bits, one cached row block at a
+        # time; entries are then >= 0 or NaN, and max keeps a NaN or +inf, so one max checks it
+        G = G.astype(np.result_type(G, alpha), copy=False)
+        for start in range(0, len(G), rows := max(1, _BLOCK_BYTES // G[0].nbytes)):
+            block = G[start : start + rows]
+            block -= alpha
+            np.maximum(0.0, block, out=block)
+            if not np.isfinite(block.max()):
+                raise ValueError("the codes overflow the float range")
     return CodeMatrix._prechecked(G)
 
 

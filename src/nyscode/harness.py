@@ -403,7 +403,10 @@ def run_curve(cfg: CurveConfig) -> ExperimentReport:
     train = (Xtr, labels[train_idx])
     test = (Xte, labels[test_idx])
     n_train = Xtr.N
-    check_alpha(Xtr, cfg.alpha)
+    if cfg.dict_source == "sampled" or n_train <= cfg.nystrom_limit:
+        check_alpha(Xtr, cfg.alpha)  # the atoms are X's columns: sampled, or C's in the diagnostics
+    if cfg.dict_source == "kmeans":
+        check_alpha(Xtr, cfg.alpha, atom_norm=1.0)  # K-means atoms: unit-norm or zero
 
     kept = [c for c in grid if c <= n_train]
     warnings = [f"skipped c={c}: exceeds training set size {n_train}" for c in grid if c > n_train]

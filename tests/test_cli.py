@@ -539,13 +539,29 @@ class TestExitCodes:
                                   "noise": 1e308}], f"{OVERFLOW} noise=1e+308\n"),
             (["nystrom-eval", "--config", {"c_grid": [4], "seeds": [0], "noise": 1e308}],
              f"{OVERFLOW} noise=1e+308\n"),
+            # this used to exit 4 as a numerical failure
+            (["synth", "--classes", "99999999999999999999"],
+             "error: Python int too large to convert to C long\n"),
+            # these used to warn in the matmul, then name only NaN or Inf in the code matrix
+            (["encode", "--data", "huge.csv", "--labels", "--c", "1"],
+             "error: the codes overflow the float range\n"),
+            (["encode", "--data", "huge.csv", "--labels", "--c", "1", "--alpha", "1e300"],
+             "error: the codes overflow the float range\n"),
+            # this used to exit 0 at chance level: 8.0 is below only the squared norm bound 25.1
+            (["curve", "--config", {"c_grid": [4, 8, 16], "seeds": [0, 1],
+                                    "normalize": "mean_center", "dict_source": "kmeans",
+                                    "alpha": 8.0, "n_samples": 400}],
+             "error: every code is zero: alpha=8.0 is not below the largest similarity "
+             "bound 5.01438\n"),
         ],
         ids=["curve", "pdl", "synth", "synth-noise-nan", "synth-noise-inf", "synth-within-nan",
              "synth-class_sep-inf", "synth-noise-overflow", "synth-within-overflow",
-             "curve-overflow", "pdl-overflow", "nystrom-eval-overflow"],
+             "curve-overflow", "pdl-overflow", "nystrom-eval-overflow", "synth-huge-int",
+             "encode-overflow", "encode-overflow-huge-alpha", "curve-kmeans-alpha"],
     )
     def test_negative_noise_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge.csv").write_text("1e200,2e200,0\n3e200,1e200,1\n")
         argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

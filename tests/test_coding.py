@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -198,9 +199,22 @@ class TestEncodeChecksCodes:
         X, D = _overflow_problem(c, row, kind)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite((X.values.T @ D.atoms)[row, 0])
+        # named, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for out in (None, np.empty((X.N, c))):
-                with pytest.raises(ValueError, match="^code matrix contains NaN or Inf$"):
+                with pytest.raises(ValueError, match="^the codes overflow the float range$"):
                     encode(X, D, 0.25, out=out)
+
+    def test_threshold_overflow_named(self):
+        # finite products that the subtraction of a hugely negative alpha takes to +inf
+        X, D = DataMatrix(np.array([[1e308]])), Dictionary(np.array([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the codes overflow the float range$"):
+                encode(X, D, -1e308)
+            # one that goes to -inf thresholds to a zero code
+            assert encode(X, Dictionary(np.array([[-1.0]])), 1e308).values.tolist() == [[0.0]]
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_non_finite_alpha_named_before_the_product(self, alpha):

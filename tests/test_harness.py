@@ -196,6 +196,23 @@ class TestRunCurve:
         assert all(p.bound_eq1 is not None for p in rep.curve)
         assert "kernel_err" not in rep.models
 
+    @pytest.mark.parametrize(
+        "dict_source, nystrom_limit, atom_norms",
+        [("sampled", 2000, [None]), ("sampled", 10, [None]), ("kmeans", 2000, [None, 1.0]),
+         ("kmeans", 10, [1.0])],
+        ids=["sampled", "sampled-no-diagnostics", "kmeans", "kmeans-no-diagnostics"],
+    )
+    def test_alpha_checked_against_each_atom_source(self, monkeypatch, dict_source,
+                                                    nystrom_limit, atom_norms):
+        # X's own columns are atoms of a sampled dictionary and of C in the diagnostics;
+        # K-means atoms are unit-norm or zero, so their bound is the largest column norm
+        seen = []
+        monkeypatch.setattr(harness, "check_alpha",
+                            lambda X, alpha, atom_norm=None: seen.append(atom_norm))
+        run_curve(CurveConfig(**SMALL_CURVE, dict_source=dict_source, kmeans_iters=10,
+                              nystrom_limit=nystrom_limit))
+        assert seen == atom_norms
+
     def test_diagnostics_disabled_above_limit(self):
         cfg = dict(SMALL_CURVE, nystrom_limit=10)
         rep = run_curve(CurveConfig(**cfg))
