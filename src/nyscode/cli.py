@@ -20,6 +20,7 @@ from .coding import DEFAULT_ALPHA, Dictionary, check_alpha, encode
 from .data import FormatError, csv_text, load_csv, save_csv, synth_labeled_manifold, write_text
 from .dictionary import sample_indices
 from .harness import (
+    INT_RULE,
     CurveConfig,
     NystromEvalConfig,
     PdlConfig,
@@ -27,6 +28,7 @@ from .harness import (
     run_curve,
     run_nystrom_eval,
     run_pdl_compare,
+    value_fits,
 )
 
 EXIT_OK = 0
@@ -136,6 +138,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():  # each int flag takes a config int key's rule
+            if type(value) is int and not value_fits(value, int):
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be int ({INT_RULE}), got {value}")
         args.run(args)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -144,7 +150,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OverflowError, OSError) as e:  # OverflowError: an int numpy cannot hold
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARGUMENT
     except MemoryError as e:  # sizes this machine cannot hold; numpy's message names them

@@ -4,7 +4,7 @@ A sample x is encoded as max(0, x^T D - alpha): a rectified similarity to each
 of the c dictionary atoms. Encoding the training set against itself gives the
 ideal code matrix C = max(0, X^T X - alpha), whose Gram matrix C C^T is the
 kernel every subsampled dictionary approximates. ``check_alpha`` rejects, from
-column norms alone, an alpha that would zero every code.
+column norms alone, an alpha that would zero every code or overflow its square.
 """
 
 from __future__ import annotations
@@ -101,11 +101,13 @@ def _is_symmetric(values: np.ndarray) -> bool:
 
 
 def check_alpha(X: DataMatrix, alpha: float, atom_norm: float | None = None) -> None:
-    """Reject a non-finite alpha, or one that zeroes every code max(0, <x, a> - alpha) of X.
+    """Reject a non-finite alpha, one that zeroes every code max(0, <x, a> - alpha) of X,
+    or one so far below that the largest code squared and summed over X's N samples overflows.
 
     By Cauchy-Schwarz no <x, a> exceeds the largest column norm of X times the
     largest atom norm. That is ``atom_norm``; None means the atoms are columns of
-    X, so the bound is the largest squared column norm. No code is computed.
+    X, so the bound is the largest squared column norm. No code is computed. A
+    non-finite bound (squared norms that overflow) is left to ``encode``, which names it.
     """
     check_finite(alpha=alpha)
     top = np.max(np.einsum("ij,ij->j", X.values, X.values))
@@ -113,6 +115,10 @@ def check_alpha(X: DataMatrix, alpha: float, atom_norm: float | None = None) -> 
     if not alpha < top:
         raise ValueError(f"every code is zero: alpha={alpha} is not below the largest "
                          f"similarity bound {top:.6g}")
+    limit = np.sqrt(np.finfo(float).max / (4 * X.N))  # N squares of it sum to max/4, with headroom
+    if np.isfinite(top) and not top - alpha < limit:
+        raise ValueError(f"the squared codes overflow the float range: alpha={alpha} is not "
+                         f"above the lowest alpha {top - limit:.6g}")
 
 
 def encode(

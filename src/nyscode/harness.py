@@ -40,21 +40,24 @@ from .pooling import PoolOp, check_regions, pool, pdl
 from .spectra import check_energy, spectral_report
 
 
-def _fits(value, hint) -> bool:
+INT_RULE = "ints in [0, 2**63)"  # what value_fits takes for an int: a size, a count or a seed
+
+
+def value_fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation; ints pass as floats unless too
     large for one, NaN and inf fail, and an int must lie in [0, 2**63)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, a) for a in args)
+        return any(value_fits(value, a) for a in args)
     if origin is typing.Literal:
         return value in args
     if origin is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+        return isinstance(value, list) and all(value_fits(v, args[0]) for v in value)
     if origin is tuple:
         return (
             isinstance(value, (list, tuple))
             and len(value) == len(args)
-            and all(map(_fits, value, args))
+            and all(map(value_fits, value, args))
         )
     if isinstance(value, bool):
         return hint is bool
@@ -88,10 +91,10 @@ class _Config:
         becomes a tuple."""
         for key, hint in typing.get_type_hints(type(self)).items():
             value = getattr(self, key)
-            if not _fits(value, hint):
+            if not value_fits(value, hint):
                 expected = hint.__name__ if isinstance(hint, type) else str(hint)
                 if _mentions_int(hint):
-                    expected += " (ints in [0, 2**63))"
+                    expected += f" ({INT_RULE})"
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
             if typing.get_origin(hint) is tuple:
                 setattr(self, key, tuple(value))

@@ -15,6 +15,9 @@ def _write_config(tmp_path, payload, name="cfg.json"):
 
 
 OVERFLOW = "error: the synthetic samples overflow the float range at"
+SQUARED_OVERFLOW = "error: the squared codes overflow the float range:"
+HUGE = "99999999999999999999"  # above 2**63
+INT_FLAG = "must be int (ints in [0, 2**63))"
 
 CURVE_CFG = {
     "c_grid": [4, 8, 16],
@@ -539,9 +542,17 @@ class TestExitCodes:
                                   "noise": 1e308}], f"{OVERFLOW} noise=1e+308\n"),
             (["nystrom-eval", "--config", {"c_grid": [4], "seeds": [0], "noise": 1e308}],
              f"{OVERFLOW} noise=1e+308\n"),
-            # this used to exit 4 as a numerical failure
-            (["synth", "--classes", "99999999999999999999"],
-             "error: Python int too large to convert to C long\n"),
+            # a seed of 2**63 or more used to exit 0 and write the file; the others used to exit 2
+            # naming a C long or a numpy limit, or (--k, --c) the flag but not its range
+            (["synth", "--classes", HUGE], f"error: --classes {INT_FLAG}, got {HUGE}\n"),
+            *[(["synth", f"--{flag}", HUGE], f"error: --{flag} {INT_FLAG}, got {HUGE}\n")
+              for flag in ("seed", "d", "k", "n", "modes-per-class")],
+            (["synth", "--seed", "-1"], f"error: --seed {INT_FLAG}, got -1\n"),
+            (["synth", "--seed", str(2**64)], f"error: --seed {INT_FLAG}, got {2**64}\n"),
+            (["encode", "--data", "data.csv", "--labels", "--c", "4", "--seed", HUGE],
+             f"error: --seed {INT_FLAG}, got {HUGE}\n"),
+            (["encode", "--data", "data.csv", "--labels", "--c", HUGE],
+             f"error: --c {INT_FLAG}, got {HUGE}\n"),
             # these used to warn in the matmul, then name only NaN or Inf in the code matrix
             (["encode", "--data", "huge.csv", "--labels", "--c", "1"],
              "error: the codes overflow the float range\n"),
@@ -553,15 +564,33 @@ class TestExitCodes:
                                     "alpha": 8.0, "n_samples": 400}],
              "error: every code is zero: alpha=8.0 is not below the largest similarity "
              "bound 5.01438\n"),
+            # these used to warn in the ridge Gram (or K-centers) and exit 0 at chance level, to
+            # name only ||C||_F^2, or to write codes near 1e300
+            (["curve", "--config", {"c_grid": [8, 16, 32], "seeds": [0], "alpha": -1e155,
+                                    "n_samples": 100, "nystrom_limit": 10}],
+             f"{SQUARED_OVERFLOW} alpha=-1e+155 is not above the lowest alpha"),
+            (["curve", "--config", {"c_grid": [8, 16, 32], "seeds": [0], "alpha": -1e155,
+                                    "n_samples": 100}],
+             f"{SQUARED_OVERFLOW} alpha=-1e+155 is not above the lowest alpha"),
+            (["pdl", "--config", {"final_c_grid": [4], "overshoots": [1, 2], "seeds": [0],
+                                  "alpha": -1e200, "images_per_class": 10}],
+             f"{SQUARED_OVERFLOW} alpha=-1e+200 is not above the lowest alpha"),
+            (["encode", "--data", "data.csv", "--labels", "--c", "4", "--alpha=-1e300"],
+             f"{SQUARED_OVERFLOW} alpha=-1e+300 is not above the lowest alpha"),
         ],
         ids=["curve", "pdl", "synth", "synth-noise-nan", "synth-noise-inf", "synth-within-nan",
              "synth-class_sep-inf", "synth-noise-overflow", "synth-within-overflow",
              "curve-overflow", "pdl-overflow", "nystrom-eval-overflow", "synth-huge-int",
-             "encode-overflow", "encode-overflow-huge-alpha", "curve-kmeans-alpha"],
+             "synth-huge-seed", "synth-huge-d", "synth-huge-k", "synth-huge-n",
+             "synth-huge-modes-per-class", "synth-negative-seed", "synth-seed-2**64",
+             "encode-huge-seed", "encode-huge-c", "encode-overflow", "encode-overflow-huge-alpha",
+             "curve-kmeans-alpha", "curve-negative-alpha", "curve-diagnostics-negative-alpha",
+             "pdl-negative-alpha", "encode-negative-alpha"],
     )
     def test_negative_noise_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "huge.csv").write_text("1e200,2e200,0\n3e200,1e200,1\n")
+        (tmp_path / "data.csv").write_text("".join(f"{i},{i % 3},{i % 2}\n" for i in range(8)))
         argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

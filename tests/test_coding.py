@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nyscode import coding
+from nyscode.classifier import train_ridge
 from nyscode.coding import CodeMatrix, Dictionary, check_alpha, encode, full_code
 from nyscode.data import DataMatrix
 from nyscode.nystrom import code_kernel
@@ -77,6 +78,37 @@ class TestCheckAlpha:
     def test_non_finite_alpha_named(self, alpha):
         with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
             check_alpha(self.X, alpha)
+
+    # the largest code, bound - alpha, must stay below sqrt(max / (4 N)) = sqrt(max / 8) here
+    LIMIT = float(np.sqrt(np.finfo(float).max / 8))
+
+    @pytest.mark.parametrize("atom_norm, bound", [(None, 4.0), (1.0, 2.0)])
+    def test_alpha_whose_squared_codes_overflow_rejected(self, atom_norm, bound):
+        lowest = bound - self.LIMIT
+        with pytest.raises(ValueError, match=re.escape(
+                f"the squared codes overflow the float range: alpha={lowest} is not above the "
+                f"lowest alpha {lowest:.6g}")):
+            check_alpha(self.X, lowest, atom_norm)
+        check_alpha(self.X, np.nextafter(lowest, 0.0), atom_norm)
+
+    def test_codes_just_inside_the_lower_bound_do_not_overflow(self):
+        # data this large keeps the codes apart, so the ridge Gram is not singular
+        X = DataMatrix(np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]]) * 1e76)
+        alpha = 4e152 - float(np.sqrt(np.finfo(float).max / 12)) * (1 - 1e-12)
+        check_alpha(X, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = encode(X, Dictionary(X.values), alpha)
+            model = train_ridge(codes, np.array([0, 1, 0]), 2, lam=1.0)
+        assert codes.values.max() ** 2 * X.N < np.finfo(float).max
+        assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))
+
+    def test_non_finite_bound_defers_to_encode(self):
+        # squared column norms near 1e400 overflow: encode names the overflow, not check_alpha
+        X = DataMatrix(np.array([[1e200, 3e200], [2e200, 1e200]]))
+        check_alpha(X, -1e300)
+        with pytest.raises(ValueError, match="the codes overflow the float range"):
+            encode(X, Dictionary(X.values), -1e300)
 
 
 class TestEncode:
